@@ -11,7 +11,7 @@
 
 #include <iostream>
 
-#include "cluster/cluster.hh"
+#include "cluster/sharded_cluster.hh"
 #include "core/ablations.hh"
 #include "exp/standard_traces.hh"
 #include "stats/table.hh"
@@ -41,7 +41,7 @@ main()
         config.nodes = 4;
         config.node.pool.memoryBudgetMb = 60.0 * 1024.0; // 240 GB total
         config.scheduling = scheduling;
-        cluster::Cluster cluster(
+        cluster::ShardedCluster cluster(
             catalog, [&catalog] { return core::makeRainbowCake(catalog); },
             config);
         const auto result = cluster.run(arrivals);

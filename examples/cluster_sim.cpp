@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-#include "cluster/cluster.hh"
+#include "cluster/sharded_cluster.hh"
 #include "core/ablations.hh"
 #include "stats/table.hh"
 #include "trace/generator.hh"
@@ -40,7 +40,7 @@ main()
         config.nodes = 4;
         config.node.pool.memoryBudgetMb = 32.0 * 1024.0;
         config.scheduling = scheduling;
-        cluster::Cluster cluster(
+        cluster::ShardedCluster cluster(
             catalog,
             [&catalog] { return core::makeRainbowCake(catalog); },
             config);

@@ -2,13 +2,21 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
-#include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "stats/quantile_sketch.hh"
 
 namespace rc::cluster {
+
+const char*
+toString(Scheduling scheduling)
+{
+    switch (scheduling) {
+      case Scheduling::RoundRobin: return "round-robin";
+      case Scheduling::LeastLoaded: return "least-loaded";
+      case Scheduling::LocalityAware: return "locality-aware";
+    }
+    return "?";
+}
 
 std::vector<CrashEvent>
 drawCrashSchedule(const fault::FaultPlan& plan, std::uint64_t seed,
@@ -38,236 +46,6 @@ drawCrashSchedule(const fault::FaultPlan& plan, std::uint64_t seed,
                   return a.at != b.at ? a.at < b.at : a.node < b.node;
               });
     return crashes;
-}
-
-Cluster::Cluster(const workload::Catalog& catalog,
-                 const PolicyFactory& factory, ClusterConfig config)
-    : _catalog(catalog), _config(config), _scheduler(config.scheduling)
-{
-    if (config.nodes == 0)
-        sim::fatal("Cluster: need at least one node");
-    // One Observer cannot serve several nodes: each node runs its own
-    // engine timeline (ticks would interleave non-monotonically) and
-    // pools restart container ids at 1 (ids would collide). The
-    // cluster therefore keeps the configured observer for its own
-    // routing events only and runs the nodes uninstrumented — except
-    // for spans, whose node-stamped identities survive merging: when
-    // the configured observer has spans enabled, each node gets a
-    // private span-only Observer and run() folds the buffers back
-    // into _obs with one deterministic sort.
-    _obs = config.node.observer;
-    const bool spans = _obs != nullptr && _obs->spansEnabled();
-    for (std::size_t i = 0; i < config.nodes; ++i) {
-        platform::NodeConfig nodeConfig = config.node;
-        nodeConfig.seed = config.node.seed + i; // independent exec draws
-        nodeConfig.observer = nullptr;
-        if (spans) {
-            obs::ObserverConfig spanConfig;
-            spanConfig.traceEnabled = false;
-            spanConfig.profilingEnabled = false;
-            spanConfig.counterInterval = _obs->config().counterInterval;
-            spanConfig.spansEnabled = true;
-            spanConfig.maxSpans = _obs->config().maxSpans;
-            auto nodeObs = std::make_unique<obs::Observer>(spanConfig);
-            nodeObs->setSpanNode(static_cast<std::uint16_t>(i));
-            nodeConfig.observer = nodeObs.get();
-            _nodeObservers.push_back(std::move(nodeObs));
-        }
-        _nodes.push_back(std::make_unique<platform::Node>(
-            _catalog, factory(), nodeConfig));
-    }
-    const admission::AdmissionPlan& admission = config.node.admission;
-    if (admission.breakerFailureThreshold > 0.0) {
-        admission::CircuitBreaker::Config breaker;
-        breaker.failureThreshold = admission.breakerFailureThreshold;
-        breaker.window = sim::fromSeconds(admission.breakerWindowSeconds);
-        breaker.cooloff =
-            sim::fromSeconds(admission.breakerCooloffSeconds);
-        breaker.minSamples = admission.breakerMinSamples;
-        _breakers.assign(_nodes.size(),
-                         admission::CircuitBreaker(breaker));
-    }
-}
-
-ClusterResult
-Cluster::run(const std::vector<trace::Arrival>& arrivals)
-{
-    ClusterResult result;
-    result.schedulingName = toString(_config.scheduling);
-
-    sim::Tick horizon = 0;
-    for (const auto& arrival : arrivals)
-        horizon = std::max(horizon, arrival.time);
-
-    // The cluster owns node crashes: it must observe each one to
-    // fail the lost work over, so nodes arm only their local fault
-    // chains (init/exec faults, overload windows) and the crash
-    // schedule is pre-drawn from a dedicated per-node stream.
-    for (auto& node : _nodes)
-        node->armAdmission(horizon);
-    const fault::FaultPlan& plan = _config.node.fault;
-    if (plan.active()) {
-        for (auto& node : _nodes)
-            node->armFaults(horizon, /*manageNodeCrashes=*/false);
-    }
-    const std::vector<CrashEvent> crashes = drawCrashSchedule(
-        plan, _config.node.seed, _nodes.size(), horizon);
-
-    // Circuit breakers (rc::admission): before each routing decision,
-    // feed every node's new failure/success outcomes into its breaker
-    // and compute which nodes are tripped. A tripped node stops
-    // receiving work until its cooloff elapses; the half-open probe
-    // then decides between closing and re-opening.
-    std::vector<std::uint8_t> tripped(_nodes.size(), 0);
-    std::vector<std::uint64_t> seenFailures(_nodes.size(), 0);
-    std::vector<std::uint64_t> seenSuccesses(_nodes.size(), 0);
-    std::vector<std::size_t> seenTransitions(_nodes.size(), 0);
-    const auto routeMask =
-        [&](sim::Tick when) -> const std::vector<std::uint8_t>* {
-        if (_breakers.empty())
-            return nullptr;
-        for (std::size_t i = 0; i < _nodes.size(); ++i) {
-            admission::CircuitBreaker& breaker = _breakers[i];
-            const std::uint64_t failures =
-                _nodes[i]->invoker().failedInvocations();
-            const std::uint64_t successes = _nodes[i]->metrics().total();
-            for (; seenFailures[i] < failures; ++seenFailures[i])
-                breaker.recordFailure(when);
-            for (; seenSuccesses[i] < successes; ++seenSuccesses[i])
-                breaker.recordSuccess(when);
-            tripped[i] = breaker.allows(when) ? 0 : 1;
-            const auto& transitions = breaker.transitions();
-            for (; seenTransitions[i] < transitions.size();
-                 ++seenTransitions[i]) {
-                const auto& tr = transitions[seenTransitions[i]];
-                if (_obs == nullptr)
-                    continue;
-                if (tr.to == admission::CircuitBreaker::State::Open) {
-                    _obs->counters().bump(obs::Counter::BreakerOpenTotal,
-                                          tr.at);
-                }
-                _obs->emit(tr.at, obs::EventType::BreakerStateChanged, 0,
-                           0xffffffffU, static_cast<std::uint8_t>(tr.to),
-                           static_cast<std::uint8_t>(tr.from),
-                           static_cast<double>(i));
-            }
-        }
-        return &tripped;
-    };
-
-    // Fail over everything a crashing node loses: advance the whole
-    // cluster to the crash instant, extract the node's queued and
-    // in-flight work, and re-route it to healthy nodes immediately.
-    std::size_t nextCrash = 0;
-    const auto processCrashesUntil = [&](sim::Tick when) {
-        while (nextCrash < crashes.size() &&
-               crashes[nextCrash].at <= when) {
-            const CrashEvent ev = crashes[nextCrash++];
-            for (auto& node : _nodes)
-                node->advanceTo(ev.at);
-            const auto lost = _nodes[ev.node]->crashNow(ev.downUntil);
-            ++result.nodeCrashes;
-            if (_obs != nullptr) {
-                _obs->counters().bump(obs::Counter::NodeCrashes, ev.at);
-                _obs->emit(ev.at, obs::EventType::NodeCrashed, 0, 0,
-                           static_cast<std::uint8_t>(ev.node), 0,
-                           sim::toSeconds(ev.downUntil - ev.at),
-                           static_cast<double>(lost.size()));
-            }
-            for (const auto& ticket : lost) {
-                const std::size_t target = _scheduler.pick(
-                    _nodes, ticket.function, routeMask(ev.at));
-                ++result.reroutedInvocations;
-                if (_obs != nullptr) {
-                    _obs->counters().bump(obs::Counter::FailoverRouted,
-                                          ev.at);
-                    _obs->emit(ev.at, obs::EventType::FailoverRouted, 0,
-                               ticket.function,
-                               static_cast<std::uint8_t>(target),
-                               static_cast<std::uint8_t>(ev.node));
-                }
-                // The re-issued invocation's root span chains to the
-                // root the crash closed (outcome rerouted), so the
-                // retry is attributable to the originating arrival.
-                _nodes[target]->invokeNow(ticket.function,
-                                          ticket.originSpan);
-            }
-        }
-    };
-
-    // Route each arrival with every node synchronized to the arrival
-    // instant, so the scheduler sees current pool states.
-    for (const auto& arrival : arrivals) {
-        processCrashesUntil(arrival.time);
-        for (auto& node : _nodes)
-            node->advanceTo(arrival.time);
-        const std::size_t target = _scheduler.pick(
-            _nodes, arrival.function, routeMask(arrival.time));
-        if (_obs != nullptr) {
-            _obs->emit(arrival.time, obs::EventType::ClusterRouted, 0,
-                       arrival.function,
-                       static_cast<std::uint8_t>(target));
-        }
-        _nodes[target]->invokeNow(arrival.function);
-    }
-    processCrashesUntil(horizon);
-    for (auto& node : _nodes) {
-        node->engine().run();
-        node->finalize();
-    }
-
-    // Fleet latency sketch: one QuantileSketch per node, merged in
-    // node-index order. Bucket-wise merge is commutative and
-    // associative, so the result is identical no matter how the
-    // fleet was partitioned — the sharded core relies on this.
-    stats::QuantileSketch e2eSketch;
-    for (const auto& node : _nodes) {
-        const auto& metrics = node->metrics();
-        stats::QuantileSketch nodeSketch;
-        for (const auto& record : metrics.records())
-            nodeSketch.add(sim::toSeconds(record.endToEnd));
-        e2eSketch.merge(nodeSketch);
-        result.invocations += metrics.total();
-        result.coldStarts += metrics.countOf(platform::StartupType::Cold);
-        result.totalStartupSeconds += metrics.totalStartupSeconds();
-        result.totalWasteMbSeconds +=
-            node->pool().wasteLog().totalWasteMbSeconds();
-        result.strandedInvocations += node->strandedInvocations();
-        result.perNodeInvocations.push_back(metrics.total());
-        result.failedInvocations +=
-            node->invoker().failedInvocations();
-        result.rejectedInvocations +=
-            node->invoker().rejectedInvocations();
-        result.shedDeadline += node->invoker().shedDeadlineCount();
-        result.shedPressure += node->invoker().shedPressureCount();
-        result.admittedInvocations +=
-            node->invoker().admittedInvocations();
-        result.engineEvents += node->engine().executedEvents();
-    }
-    for (const auto& breaker : _breakers)
-        result.breakerOpens += breaker.openCount();
-    if (result.invocations > 0) {
-        result.meanStartupSeconds = result.totalStartupSeconds /
-            static_cast<double>(result.invocations);
-    }
-    if (e2eSketch.count() > 0) {
-        result.e2eP50Seconds = e2eSketch.median();
-        result.e2eP99Seconds = e2eSketch.p99();
-    }
-    // Fold the per-node span buffers into the routing observer. The
-    // sort key (invocation id, span id) embeds the node index, so the
-    // merged dump is byte-identical however the run was partitioned.
-    if (!_nodeObservers.empty()) {
-        std::vector<obs::Span> all;
-        std::uint64_t dropped = 0;
-        for (auto& nodeObs : _nodeObservers) {
-            const auto& spans = nodeObs->spans();
-            all.insert(all.end(), spans.begin(), spans.end());
-            dropped += nodeObs->droppedSpans();
-        }
-        _obs->absorbSpans(std::move(all), dropped, horizon);
-    }
-    return result;
 }
 
 } // namespace rc::cluster

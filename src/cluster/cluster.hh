@@ -1,27 +1,46 @@
 /**
  * @file
- * A multi-node worker cluster with a shared logical timeline.
- *
- * Each node owns its own event engine; the cluster keeps them
- * synchronized by advancing every node to each arrival instant before
- * routing it, which is exactly the information a real inter-node
- * scheduler would act on (current pool states at arrival time).
+ * What a cluster run takes and returns: the routing modes, the fleet
+ * configuration, the aggregated result, and the pre-drawn crash
+ * schedule. Shared by the sharded core (cluster/sharded_cluster.hh),
+ * its router (cluster/shard_scheduler.hh) and the recovery
+ * orchestrator.
  */
 
 #ifndef RC_CLUSTER_CLUSTER_HH_
 #define RC_CLUSTER_CLUSTER_HH_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "admission/circuit_breaker.hh"
-#include "cluster/scheduler.hh"
 #include "platform/node.hh"
-#include "trace/replay.hh"
-#include "workload/catalog.hh"
+#include "policy/policy.hh"
 
 namespace rc::cluster {
+
+/**
+ * Inter-node routing policies (§8, "RainbowCake on distributed
+ * clusters"). The paper sketches a scheduler built on three factors —
+ * locality (a warm User container), then layer sharing (an idle Lang
+ * of the function's language, then an idle Bare), then load — and the
+ * two classic baselines make the benefit of warmth-aware routing
+ * measurable. ShardScheduler implements all three.
+ */
+enum class Scheduling : std::uint8_t
+{
+    RoundRobin,    //!< ignore state; rotate
+    LeastLoaded,   //!< fewest in-flight invocations, then least memory
+    LocalityAware, //!< §8: locality, then sharing, then load
+};
+
+/** Human-readable name. */
+const char* toString(Scheduling scheduling);
+
+/** Creates one policy instance per node, in node order. */
+using PolicyFactory = std::function<std::unique_ptr<policy::Policy>()>;
 
 /** Cluster configuration. */
 struct ClusterConfig
@@ -65,9 +84,8 @@ struct ClusterResult
     /** Discrete events executed across all node engines. */
     std::uint64_t engineEvents = 0;
     /**
-     * Barrier windows the sharded core processed (0 on the legacy
-     * serial path). Shard-count independent, so it doubles as a
-     * determinism pin in report CSVs.
+     * Barrier windows the run processed. Shard-count independent, so
+     * it doubles as a determinism pin in report CSVs.
      */
     std::uint64_t windows = 0;
     /**
@@ -80,7 +98,7 @@ struct ClusterResult
     double e2eP50Seconds = 0.0;
     double e2eP99Seconds = 0.0;
 
-    // ---- gray-failure / tail-tolerance (sharded core only) -------------
+    // ---- gray-failure / tail-tolerance ---------------------------------
 
     /** Invocations cancelled as losing hedge attempts. */
     std::uint64_t cancelledInvocations = 0;
@@ -151,7 +169,7 @@ struct ClusterResult
      *  the whole remaining window. */
     double timeToGoodputSeconds = 0.0;
 
-    // ---- coordinator phase timing (sharded core, wall clock) -----------
+    // ---- coordinator phase timing (wall clock) --------------------------
     // Populated only when ShardedConfig::phaseTimings is on. These are
     // host wall-clock measurements — nondeterministic by nature — so,
     // like the e2e percentile fields above, they are never part of the
@@ -184,70 +202,14 @@ struct CrashEvent
 
 /**
  * Pre-draw the per-node crash schedule for @p nodes nodes up to
- * @p horizon, exactly as Cluster::run does: one dedicated Rng stream
- * per node derived from @p seed, crashes sorted by (time, node).
- * Pre-drawing keeps the schedule independent of routing noise — and,
- * for the sharded core, independent of the shard partitioning.
+ * @p horizon: one dedicated Rng stream per node derived from @p seed,
+ * crashes sorted by (time, node). Pre-drawing keeps the schedule
+ * independent of routing noise and of the shard partitioning.
  */
 std::vector<CrashEvent> drawCrashSchedule(const fault::FaultPlan& plan,
                                           std::uint64_t seed,
                                           std::size_t nodes,
                                           sim::Tick horizon);
-
-/** A set of worker nodes behind one scheduler. */
-class Cluster
-{
-  public:
-    using PolicyFactory =
-        std::function<std::unique_ptr<policy::Policy>()>;
-
-    /**
-     * @param catalog  Deployed functions (shared by all nodes).
-     * @param factory  Creates one policy instance per node.
-     * @param config   Node count, per-node config, scheduling.
-     */
-    Cluster(const workload::Catalog& catalog, const PolicyFactory& factory,
-            ClusterConfig config);
-
-    /** Route and replay @p arrivals to completion on all nodes. */
-    ClusterResult run(const std::vector<trace::Arrival>& arrivals);
-
-    /** Nodes (for inspection in tests). */
-    const std::vector<std::unique_ptr<platform::Node>>& nodes() const
-    {
-        return _nodes;
-    }
-
-    /**
-     * Per-node circuit breakers (rc::admission); empty unless the
-     * admission plan sets breakerFailureThreshold. Exposed so tests
-     * and the chaos harness can audit the transition history.
-     */
-    const std::vector<admission::CircuitBreaker>& breakers() const
-    {
-        return _breakers;
-    }
-
-  private:
-    const workload::Catalog& _catalog;
-    ClusterConfig _config;
-    ClusterScheduler _scheduler;
-    std::vector<std::unique_ptr<platform::Node>> _nodes;
-    std::vector<admission::CircuitBreaker> _breakers;
-    /**
-     * Routing-event sink. Taken from ClusterConfig::node.observer;
-     * the nodes themselves run uninstrumented (see Cluster ctor for
-     * why one Observer cannot span several engine timelines).
-     */
-    obs::Observer* _obs = nullptr;
-    /**
-     * Span-only per-node observers, built only when _obs has spans
-     * enabled. Span identities are node-stamped and partition
-     * independent, so these buffers — unlike events — can be merged
-     * into _obs with one sort after the run (Observer::absorbSpans).
-     */
-    std::vector<std::unique_ptr<obs::Observer>> _nodeObservers;
-};
 
 } // namespace rc::cluster
 

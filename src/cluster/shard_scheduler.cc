@@ -16,9 +16,9 @@ ShardScheduler::ShardScheduler(Scheduling scheduling,
 std::size_t
 ShardScheduler::leastLoaded(const std::vector<NodeSummary>& nodes) const
 {
-    // Two passes like the legacy scheduler: prefer available nodes,
-    // but when the whole cluster is down still place the work (it
-    // queues on the node and drains at restart).
+    // Two passes: prefer available nodes, but when the whole cluster
+    // is down still place the work (it queues on the node and drains
+    // at restart).
     for (const bool availableOnly : {true, false}) {
         std::size_t best = nodes.size();
         std::uint32_t bestInFlight =

@@ -2,14 +2,13 @@
  * @file
  * Barrier-time scheduling for the sharded cluster core.
  *
- * The legacy ClusterScheduler inspects live node objects, which
- * forces the whole cluster onto one timeline (every node must be
- * advanced to the arrival instant before each pick). The sharded
- * core instead routes against *summaries*: per-node PODs captured by
- * each shard at the last barrier. Decisions therefore see state that
- * is up to one lookahead window stale — exactly the information a
- * real inter-node scheduler would have, since placement messages take
- * a network hop anyway.
+ * Routing against live node objects would force the whole cluster
+ * onto one timeline (every node advanced to the arrival instant
+ * before each pick). The sharded core instead routes against
+ * *summaries*: per-node PODs captured by each shard at the last
+ * barrier. Decisions therefore see state that is up to one lookahead
+ * window stale — exactly the information a real inter-node scheduler
+ * would have, since placement messages take a network hop anyway.
  *
  * Every rule here is a pure function of the summary array plus the
  * scheduler's own deterministic state (rotation cursor, affinity
@@ -29,7 +28,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/scheduler.hh"
+#include "cluster/cluster.hh"
 #include "workload/catalog.hh"
 #include "workload/types.hh"
 
@@ -73,7 +72,7 @@ struct NodeSummary
     std::uint64_t successes = 0;
 };
 
-/** Deterministic summary-based router (same modes as the legacy one). */
+/** Deterministic summary-based router for every Scheduling mode. */
 class ShardScheduler
 {
   public:

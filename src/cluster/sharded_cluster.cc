@@ -32,13 +32,14 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
 {
     if (config.nodes == 0)
         sim::fatal("ShardedCluster: need at least one node");
-    // Same observer rule as the legacy Cluster: one Observer cannot
-    // span several engine timelines, so nodes run uninstrumented and
-    // the configured observer collects cluster-level events only —
-    // emitted exclusively by the single-threaded coordinator. Spans
-    // are the exception: each node gets a private span-only Observer
-    // (touched only by that node's shard worker), merged after the
-    // drain on partition-independent keys.
+    // One Observer cannot span several engine timelines (ticks would
+    // interleave non-monotonically, and pools restart container ids at
+    // 1), so nodes run uninstrumented and the configured observer
+    // collects cluster-level events only — emitted exclusively by the
+    // single-threaded coordinator. Spans are the exception: each node
+    // gets a private span-only Observer (touched only by that node's
+    // shard worker), merged after the drain on partition-independent
+    // keys.
     _obs = config.node.observer;
     const bool spans = _obs != nullptr && _obs->spansEnabled();
     for (std::size_t i = 0; i < config.nodes; ++i) {
@@ -123,7 +124,6 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
         }
         _health =
             std::make_unique<NodeHealthTracker>(health, _nodes.size());
-        _severed.assign(_nodes.size(), 0);
         _functionSketches.assign(_catalog.size(),
                                  stats::QuantileSketch());
         for (auto& node : _nodes)
@@ -258,8 +258,7 @@ ShardedCluster::refreshBreakers(sim::Tick now)
         return;
     for (std::size_t i = 0; i < _nodes.size(); ++i) {
         admission::CircuitBreaker& breaker = _breakers[i];
-        // Feed outcome deltas from the barrier summaries — the
-        // sharded analogue of the legacy per-arrival breaker feed.
+        // Feed the outcome deltas the barrier summaries carry.
         for (; _seenFailures[i] < _summaries[i].failures;
              ++_seenFailures[i])
             breaker.recordFailure(now);
@@ -292,13 +291,90 @@ ShardedCluster::run(const std::vector<trace::Arrival>& arrivals)
     return run(source);
 }
 
+std::uint64_t
+ShardedCluster::RunState::clock() const
+{
+    if (!timing)
+        return 0;
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
 ClusterResult
 ShardedCluster::run(trace::ArrivalSource& source)
 {
-    ClusterResult result;
-    result.schedulingName = toString(_config.scheduling);
+    // Coordinator-phase wall-clock breakdown. Gated: the numbers are
+    // nondeterministic and the clock reads are not free, so only
+    // bench/instrumented runs pay for them.
+    RunState run(source, _sharded.phaseTimings);
+    arm(run);
 
-    const sim::Tick horizon = source.horizon();
+    sim::ShardExecutor executor(_threads);
+    // One round closure reused by every window (no per-window
+    // std::function allocation); the coordinator sets run.windowEnd
+    // and _activeShards before each round.
+    const sim::ShardExecutor::RoundFn shardRound =
+        [this, &run](std::size_t i) {
+            runShardWindow(_shards[_activeShards[i]], run.windowEnd);
+        };
+
+    while (true) {
+        const std::uint64_t tWindow = run.clock();
+        const sim::Tick wake = nextWakeUp(run);
+        if (wake == kNever)
+            break;
+        run.windowStart = std::min(wake / _lookahead * _lookahead,
+                                   run.lastBarrier + run.maxStride);
+        run.windowEnd = run.windowStart + _lookahead;
+        ++run.result.windows;
+
+        // ---- coordinator phase (single-threaded) --------------------
+        preRoute(run);
+        const std::uint64_t tRoute = run.clock();
+        route(run);
+        binInputs(run.windowEnd);
+        run.routedNs += run.clock() - tRoute;
+
+        // ---- parallel phase -----------------------------------------
+        const std::uint64_t tParallel = run.clock();
+        run.coordNs += tParallel - tWindow;
+        if (!_activeShards.empty())
+            executor.runRound(_activeShards.size(), shardRound);
+        const std::uint64_t tMerge = run.clock();
+        run.parallelNs += tMerge - tParallel;
+
+        // ---- merge phase (single-threaded, sort-once) ---------------
+        mergeSummaries();
+        run.summaryNs += run.clock() - tMerge;
+        mergeOutcomes(run);
+        run.lastBarrier = run.windowEnd;
+        run.coordNs += run.clock() - tMerge;
+    }
+
+    // Drain: no cross-shard input remains, so every node can run to
+    // completion and flush independently.
+    const std::uint64_t tDrain = run.clock();
+    executor.runRound(_shards.size(), [this](std::size_t s) {
+        for (const std::size_t index : _shards[s].nodes) {
+            _nodes[index]->engine().run();
+            _nodes[index]->finalize();
+        }
+    });
+    run.parallelNs += run.clock() - tDrain;
+
+    settleAfterDrain(run);
+    assemble(run);
+    return std::move(run.result);
+}
+
+void
+ShardedCluster::arm(RunState& run)
+{
+    run.result.schedulingName = toString(_config.scheduling);
+    const sim::Tick horizon = run.source.horizon();
+    run.horizon = horizon;
 
     for (auto& node : _nodes)
         node->armAdmission(horizon);
@@ -307,8 +383,8 @@ ShardedCluster::run(trace::ArrivalSource& source)
         for (auto& node : _nodes)
             node->armFaults(horizon, /*manageNodeCrashes=*/false);
     }
-    std::vector<CrashEvent> crashes = drawCrashSchedule(
-        plan, _config.node.seed, _nodes.size(), horizon);
+    run.crashes = drawCrashSchedule(plan, _config.node.seed,
+                                    _nodes.size(), horizon);
     if (plan.domain.active()) {
         _recovery = std::make_unique<RecoveryOrchestrator>(
             plan.domain, _catalog, _config.node.seed, _nodes.size(),
@@ -322,9 +398,9 @@ ShardedCluster::run(trace::ArrivalSource& source)
             // the first correlated strike (the stream is (at, node)
             // sorted, so front() is earliest).
             _recoveryFrom = outageCrashes.front().at;
-            crashes.insert(crashes.end(), outageCrashes.begin(),
-                           outageCrashes.end());
-            std::stable_sort(crashes.begin(), crashes.end(),
+            run.crashes.insert(run.crashes.end(), outageCrashes.begin(),
+                               outageCrashes.end());
+            std::stable_sort(run.crashes.begin(), run.crashes.end(),
                              [](const CrashEvent& a,
                                 const CrashEvent& b) {
                                  return a.at != b.at ? a.at < b.at
@@ -349,13 +425,12 @@ ShardedCluster::run(trace::ArrivalSource& source)
         }
     }
 
-    const sim::Tick L = _lookahead;
     // Staleness cap, rounded up to whole windows so every barrier
     // stays on the lookahead grid.
-    const sim::Tick maxStride =
+    const sim::Tick L = _lookahead;
+    run.maxStride =
         std::max(L, (_sharded.maxSummaryStaleness + L - 1) / L * L);
 
-    constexpr sim::Tick kNever = std::numeric_limits<sim::Tick>::max();
     for (std::size_t i = 0; i < _nodes.size(); ++i) {
         _summaries[i] = captureSummary(*_nodes[i]);
         _summaryStamps[i] = _nodes[i]->summaryStamp();
@@ -367,489 +442,401 @@ ShardedCluster::run(trace::ArrivalSource& source)
                 shard.nextEventAt, _nodes[i]->engine().nextEventAt());
         }
     }
+}
 
-    sim::ShardExecutor executor(_threads);
-    // One round closure reused by every window (no per-window
-    // std::function allocation); the coordinator updates
-    // roundWindowEnd and _activeShards between rounds.
-    sim::Tick roundWindowEnd = 0;
-    const sim::ShardExecutor::RoundFn shardRound =
-        [this, &roundWindowEnd](std::size_t i) {
-            runShardWindow(_shards[_activeShards[i]], roundWindowEnd);
-        };
-
-    // Coordinator-phase wall-clock breakdown. Gated: the numbers are
-    // nondeterministic and the clock reads are not free, so only
-    // bench/instrumented runs pay for them.
-    const bool timing = _sharded.phaseTimings;
-    const auto nowNs = [] {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-    };
-    std::uint64_t coordNs = 0;
-    std::uint64_t routedNs = 0;
-    std::uint64_t summaryNs = 0;
-    std::uint64_t parallelNs = 0;
-
-    std::vector<FailoverItem> pendingFailover;
-    std::vector<CrashRecord> crashed; // merge scratch, reused per window
-    std::size_t crashIdx = 0;
-    std::size_t failIdx = 0;
-    std::uint64_t seq = 0;
-    sim::Tick lastBarrier = 0;
-
-    while (true) {
-        const std::uint64_t tWindow = timing ? nowNs() : 0;
-        sim::Tick nextTick = kNever;
-        if (!source.done())
-            nextTick = std::min(nextTick, source.peek().time);
-        if (crashIdx < crashes.size())
-            nextTick = std::min(nextTick, crashes[crashIdx].at);
-        if (failIdx < pendingFailover.size())
-            nextTick =
-                std::min(nextTick, pendingFailover[failIdx].deliverAt);
-        if (_deliveryIdx < _pendingDeliveries.size()) {
-            nextTick = std::min(
-                nextTick, _pendingDeliveries[_deliveryIdx].deliverAt);
+sim::Tick
+ShardedCluster::nextWakeUp(const RunState& run) const
+{
+    const sim::Tick L = _lookahead;
+    sim::Tick next = kNever;
+    if (!run.source.done())
+        next = std::min(next, run.source.peek().time);
+    if (run.crashIdx < run.crashes.size())
+        next = std::min(next, run.crashes[run.crashIdx].at);
+    if (run.failIdx < run.pendingFailover.size())
+        next = std::min(next, run.pendingFailover[run.failIdx].deliverAt);
+    if (_deliveryIdx < _pendingDeliveries.size())
+        next = std::min(next, _pendingDeliveries[_deliveryIdx].deliverAt);
+    bool nodeProgress = false;
+    if (ticketing()) {
+        // Partition flips and outstanding ticket watches (hedge
+        // deadlines, pending cancels) keep the barrier grid stepping
+        // even with no routable input left.
+        if (_partitionIdx < _partitions.size())
+            next = std::min(next, _partitions[_partitionIdx].start);
+        for (const std::size_t pi : _activePartitions) {
+            // A partition lifts at the first barrier at or after its
+            // end (applyPartitions tests end <= windowStart), so
+            // propose that grid point — proposing the raw end tick
+            // would floor back into a window that can never clear it.
+            next = std::min(next, alignToBarrier(_partitions[pi].end, L));
         }
-        if (ticketing()) {
-            // Partition flips and outstanding ticket watches (hedge
-            // deadlines, pending cancels) keep the barrier grid
-            // stepping even with no routable input left.
-            if (_partitionIdx < _partitions.size())
-                nextTick =
-                    std::min(nextTick, _partitions[_partitionIdx].start);
-            for (const std::size_t pi : _activePartitions) {
-                // A partition lifts at the first barrier at or after
-                // its end (applyPartitions tests end <= windowStart),
-                // so propose that grid point — proposing the raw end
-                // tick would floor back into a window that can never
-                // clear it.
-                const sim::Tick end = _partitions[pi].end;
-                nextTick = std::min(nextTick, alignToBarrier(end, L));
-            }
-            if (!_watches.empty()) {
-                // Wake at the next instant the coordinator can act on
-                // a watch: a queued cancel input (pushed at the last
-                // barrier), the next node event (the earliest a new
-                // ticket outcome can surface), or the earliest hedge
-                // deadline. All three read per-node / coordinator
-                // state only, so the barrier schedule — and with it
-                // hedge timing — is identical at any shard count.
-                for (std::size_t i = 0; i < _nodes.size(); ++i) {
-                    nextTick = std::min(
-                        nextTick, _pendingInputs[i] == 0
-                                      ? _nodes[i]->engine().nextEventAt()
-                                      : lastBarrier);
-                }
-                if (_net != nullptr && _net->hedgeEnabled) {
-                    for (const auto& [ticket, watch] : _watches) {
-                        if (watch.resolved || watch.hedgeTicket != 0 ||
-                            watch.isProbe || watch.primaryDone)
-                            continue;
-                        const auto& sketch =
-                            _functionSketches[watch.function];
-                        if (sketch.count() < _net->hedgeMinSamples)
-                            continue;
-                        const double budget = std::max(
-                            sketch.p99() * _net->hedgeLatencyFactor,
-                            _net->hedgeMinBudgetMs / 1000.0);
-                        nextTick = std::min(
-                            nextTick,
-                            std::max(watch.sentAt +
-                                         sim::fromSeconds(budget),
-                                     lastBarrier));
-                    }
+        if (!_watches.empty()) {
+            // Wake at the next instant the coordinator can act on a
+            // watch: a queued cancel input (pushed at the last
+            // barrier), the next node event (the earliest a new ticket
+            // outcome can surface), or the earliest hedge deadline.
+            // All three read per-node / coordinator state only, so the
+            // barrier schedule — and with it hedge timing — is
+            // identical at any shard count.
+            nodeProgress = true;
+            if (_net != nullptr && _net->hedgeEnabled) {
+                for (const auto& [ticket, watch] : _watches) {
+                    next = std::min(next, std::max(hedgeDeadline(watch),
+                                                   run.lastBarrier));
                 }
             }
         }
-        if (_recovery != nullptr) {
-            // Recovery deadlines gate on windowStart >= deadline, so
-            // propose the grid point at-or-after them — the raw tick
-            // would floor back into a window that can never clear it
-            // (the same trap as partition ends above).
-            const sim::Tick recoveryAt = _recovery->nextActionAt();
-            if (recoveryAt != kNever)
-                nextTick =
-                    std::min(nextTick, alignToBarrier(recoveryAt, L));
-            if (_recovery->needsNodeProgress()) {
-                // Draining and warming complete through node-local
-                // events (executions finishing, prewarm inits); keep
-                // barriers stepping with them so the FSM observes
-                // progress promptly.
-                for (std::size_t i = 0; i < _nodes.size(); ++i) {
-                    nextTick = std::min(
-                        nextTick, _pendingInputs[i] == 0
-                                      ? _nodes[i]->engine().nextEventAt()
-                                      : lastBarrier);
-                }
-            }
-        }
-        if (_feedbackIdx < _feedbackQueue.size())
-            nextTick =
-                std::min(nextTick, _feedbackQueue[_feedbackIdx].at);
-        if (nextTick == kNever)
-            break;
-
-        sim::Tick windowStart = nextTick / L * L;
-        windowStart = std::min(windowStart, lastBarrier + maxStride);
-        const sim::Tick windowEnd = windowStart + L;
-        ++result.windows;
-
-        // ---- coordinator phase (single-threaded) --------------------
-        refreshBreakers(windowStart);
-        if (ticketing()) {
-            applyPartitions(windowStart, windowEnd, result);
-            emitDegradedEvents(windowEnd);
-            _health->refresh(windowStart);
-            emitHealthTransitions();
-        }
-        // Recovery FSM runs before routing (hedges, retries, arrivals)
-        // so every dispatch this window sees the recovering flags; it
-        // runs before the crash drain so census snapshots still read
-        // pre-failure summaries.
-        if (_recovery != nullptr)
-            applyRecovery(windowStart, windowEnd, seq);
-        if (_net != nullptr)
-            launchHedges(windowStart, windowEnd, seq, result);
-        drainFeedbackRetries(windowEnd, seq, result);
-        const std::uint64_t tRoute = timing ? nowNs() : 0;
-        // Drain the three input streams due this window in one merged
-        // (tick, class) order — crashes outrank failover deliveries,
-        // which outrank fresh arrivals at the same instant, matching
-        // the legacy serial cluster.
-        while (true) {
-            const sim::Tick crashAt = crashIdx < crashes.size()
-                                          ? crashes[crashIdx].at
-                                          : kNever;
-            const sim::Tick failAt =
-                failIdx < pendingFailover.size()
-                    ? pendingFailover[failIdx].deliverAt
-                    : kNever;
-            const sim::Tick deliverAt =
-                _deliveryIdx < _pendingDeliveries.size()
-                    ? _pendingDeliveries[_deliveryIdx].deliverAt
-                    : kNever;
-            const sim::Tick arriveAt =
-                !source.done() ? source.peek().time : kNever;
-            const sim::Tick due = std::min(
-                std::min(crashAt, deliverAt), std::min(failAt, arriveAt));
-            if (due >= windowEnd)
-                break;
-            if (crashAt == due) {
-                const CrashEvent& ev = crashes[crashIdx++];
-                // Routing inside this window must already see the
-                // node as gone; the summary refresh at the barrier
-                // re-evaluates isDown() for the windows that follow.
-                _summaries[ev.node].down = 1;
-                queueInput(ev.node,
-                           {ev.at, seq++, workload::kInvalidFunction,
-                            ev.downUntil, ShardInput::kCrash});
-            } else if (failAt == due) {
-                const FailoverItem& item = pendingFailover[failIdx++];
-                const std::size_t target =
-                    _scheduler.pick(_summaries, item.function);
-                ++result.reroutedInvocations;
-                if (_obs != nullptr) {
-                    _obs->counters().bump(obs::Counter::FailoverRouted,
-                                          item.deliverAt);
-                    _obs->emit(item.deliverAt,
-                               obs::EventType::FailoverRouted, 0,
-                               item.function,
-                               static_cast<std::uint8_t>(target),
-                               static_cast<std::uint8_t>(item.fromNode));
-                }
-                if (item.ticket != 0) {
-                    // The re-issued attempt keeps its ticket; the
-                    // watch follows it to the new node.
-                    const auto it = _ticketToPrimary.find(item.ticket);
-                    if (it != _ticketToPrimary.end()) {
-                        Watch& watch = _watches.at(it->second);
-                        if (item.ticket == watch.hedgeTicket) {
-                            watch.hedgeNode =
-                                static_cast<std::uint32_t>(target);
-                        } else {
-                            watch.primaryNode =
-                                static_cast<std::uint32_t>(target);
-                        }
-                    }
-                }
-                queueInput(target, {item.deliverAt, seq++,
-                                    item.function, 0,
-                                    ShardInput::kInvoke,
-                                    item.originSpan, item.ticket});
-            } else if (deliverAt == due) {
-                const Delivery& d = _pendingDeliveries[_deliveryIdx++];
-                queueInput(d.node, {d.deliverAt, seq++, d.function, 0,
-                                    ShardInput::kInvoke, d.originSpan,
-                                    d.ticket});
-            } else {
-                const trace::Arrival arrival = source.peek();
-                source.pop();
-                ++_offeredLoad;
-                std::size_t target = 0;
-                bool probe = false;
-                if (ticketing()) {
-                    // Probation trickle: the lowest-index reachable
-                    // node waiting on a readmission probe takes this
-                    // arrival instead of the normal pick.
-                    for (std::size_t i = 0; i < _nodes.size(); ++i) {
-                        if (_health->wantsProbe(i) &&
-                            _summaries[i].down == 0 &&
-                            _summaries[i].tripped == 0 &&
-                            _summaries[i].severed == 0) {
-                            target = i;
-                            probe = true;
-                            break;
-                        }
-                    }
-                }
-                if (!probe)
-                    target = _scheduler.pick(_summaries, arrival.function);
-                if (_obs != nullptr) {
-                    _obs->emit(arrival.time,
-                               obs::EventType::ClusterRouted, 0,
-                               arrival.function,
-                               static_cast<std::uint8_t>(target));
-                }
-                if (!ticketing()) {
-                    queueInput(target, {arrival.time, seq++,
-                                        arrival.function, 0,
-                                        ShardInput::kInvoke});
-                    continue;
-                }
-                if (probe) {
-                    _health->noteProbeSent(target);
-                    if (_obs != nullptr) {
-                        _obs->counters().bump(obs::Counter::NodeProbes,
-                                              arrival.time);
-                        _obs->emit(arrival.time,
-                                   obs::EventType::NodeProbed, 0,
-                                   arrival.function,
-                                   static_cast<std::uint8_t>(target));
-                    }
-                } else if (_health->quarantined(target)) {
-                    // The scheduler only lands on a quarantined node
-                    // when nothing else is available; with a healthy
-                    // alternative up this counts as a violation
-                    // (chaos_check --gray pins it at zero).
-                    for (std::size_t i = 0; i < _nodes.size(); ++i) {
-                        if (_summaries[i].down == 0 &&
-                            _summaries[i].tripped == 0 &&
-                            _summaries[i].severed == 0 &&
-                            _summaries[i].quarantined == 0) {
-                            ++_quarantineViolations;
-                            break;
-                        }
-                    }
-                }
-                const std::uint64_t ticket = _nextTicket++;
-                Watch watch;
-                watch.function = arrival.function;
-                watch.arrival = arrival.time;
-                watch.sentAt = arrival.time;
-                watch.primaryTicket = ticket;
-                watch.primaryNode = static_cast<std::uint32_t>(target);
-                watch.isProbe = probe;
-                _watches.emplace(ticket, watch);
-                _ticketToPrimary.emplace(ticket, ticket);
-                if (probe) {
-                    _probeTickets.emplace(
-                        ticket, static_cast<std::uint32_t>(target));
-                }
-                sendInvoke(target, arrival.function, 0, ticket,
-                           arrival.time, windowEnd, seq);
-            }
-        }
-        if (ticketing() && _deliveryIdx < _pendingDeliveries.size()) {
-            // New sends may have parked out-of-order relative to the
-            // undelivered backlog; one sort restores (deliverAt,
-            // sendSeq) before the next window reads the front.
-            std::sort(_pendingDeliveries.begin() +
-                          static_cast<std::ptrdiff_t>(_deliveryIdx),
-                      _pendingDeliveries.end(),
-                      [](const Delivery& a, const Delivery& b) {
-                          if (a.deliverAt != b.deliverAt)
-                              return a.deliverAt < b.deliverAt;
-                          return a.sendSeq < b.sendSeq;
-                      });
-        }
-
-        // ---- pre-binning: one batch pass routes the whole window ----
-        // Appending into per-shard bins here (capacity reserved from
-        // the previous window's high-water mark) replaces the old
-        // per-arrival push into N node inboxes; the worker regroups
-        // its bin by node with a single sort.
-        const std::size_t shardCount = _shards.size();
-        if (!_routeScratch.empty()) {
-            for (Shard& shard : _shards)
-                shard.bin.reserve(shard.binHighWater);
-            for (const RoutedInput& r : _routeScratch) {
-                _shards[r.node % shardCount].bin.push_back(r);
-                _pendingInputs[r.node] = 0;
-            }
-            for (Shard& shard : _shards) {
-                shard.binHighWater =
-                    std::max(shard.binHighWater, shard.bin.size());
-            }
-            _routeScratch.clear();
-        }
-        // Shards with no input and no due node events would only run
-        // every node's idle fast path; skip them wholesale. The test
-        // knob forces full participation so identity tests exercise
-        // the no-skip path.
-        _activeShards.clear();
-        for (std::size_t s = 0; s < shardCount; ++s) {
-            if (_sharded.fullSummaryCapture || !_shards[s].bin.empty() ||
-                _shards[s].nextEventAt < windowEnd)
-                _activeShards.push_back(s);
-        }
-        if (timing)
-            routedNs += nowNs() - tRoute;
-
-        // ---- parallel phase -----------------------------------------
-        roundWindowEnd = windowEnd;
-        const std::uint64_t tParallel = timing ? nowNs() : 0;
-        if (timing)
-            coordNs += tParallel - tWindow;
-        if (!_activeShards.empty())
-            executor.runRound(_activeShards.size(), shardRound);
-        const std::uint64_t tMerge = timing ? nowNs() : 0;
-        if (timing)
-            parallelNs += tMerge - tParallel;
-
-        // ---- merge phase (single-threaded, sort-once) ---------------
-        // Summary deltas: patch the coordinator's table in place from
-        // the entries the workers flagged dirty, preserving the
-        // coordinator-owned flags (tripped, severed, quarantined) that
-        // nodes never track — refreshBreakers, applyPartitions, and
-        // emitHealthTransitions keep those current themselves.
-        for (Shard& shard : _shards) {
-            for (const auto& [index, fresh] : shard.summaryScratch) {
-                NodeSummary& slot = _summaries[index];
-                const std::uint8_t tripped = slot.tripped;
-                const std::uint8_t severed = slot.severed;
-                const std::uint8_t quarantined = slot.quarantined;
-                slot = fresh;
-                slot.tripped = tripped;
-                slot.severed = severed;
-                slot.quarantined = quarantined;
-            }
-            shard.summaryScratch.clear();
-        }
-        if (timing)
-            summaryNs += nowNs() - tMerge;
-
-        // Crash log: merged by (tick, node), independent of which
-        // shard observed what.
-        crashed.clear();
-        for (Shard& shard : _shards) {
-            crashed.insert(crashed.end(), shard.crashLog.begin(),
-                           shard.crashLog.end());
-            shard.crashLog.clear();
-        }
-        std::sort(crashed.begin(), crashed.end(),
-                  [](const CrashRecord& a, const CrashRecord& b) {
-                      return a.at != b.at ? a.at < b.at
-                                          : a.node < b.node;
-                  });
-        for (const CrashRecord& record : crashed) {
-            ++result.nodeCrashes;
-            if (_obs != nullptr) {
-                _obs->counters().bump(obs::Counter::NodeCrashes,
-                                      record.at);
-                _obs->emit(record.at, obs::EventType::NodeCrashed, 0, 0,
-                           static_cast<std::uint8_t>(record.node), 0,
-                           sim::toSeconds(record.downUntil - record.at),
-                           static_cast<double>(record.lost));
-            }
-        }
-        // Outboxes: displaced work queues for re-routing, ordered by
-        // (crash tick, node, position) — again partition-independent.
-        pendingFailover.erase(pendingFailover.begin(),
-                              pendingFailover.begin() +
-                                  static_cast<std::ptrdiff_t>(failIdx));
-        failIdx = 0;
-        bool grew = false;
-        for (Shard& shard : _shards) {
-            if (!shard.outbox.empty()) {
-                pendingFailover.insert(pendingFailover.end(),
-                                       shard.outbox.begin(),
-                                       shard.outbox.end());
-                shard.outbox.clear();
-                grew = true;
-            }
-        }
-        if (grew) {
-            std::sort(pendingFailover.begin(), pendingFailover.end(),
-                      [](const FailoverItem& a, const FailoverItem& b) {
-                          if (a.deliverAt != b.deliverAt)
-                              return a.deliverAt < b.deliverAt;
-                          if (a.crashAt != b.crashAt)
-                              return a.crashAt < b.crashAt;
-                          if (a.fromNode != b.fromNode)
-                              return a.fromNode < b.fromNode;
-                          return a.index < b.index;
-                      });
-        }
-        if (ticketing()) {
-            _pendingDeliveries.erase(
-                _pendingDeliveries.begin(),
-                _pendingDeliveries.begin() +
-                    static_cast<std::ptrdiff_t>(_deliveryIdx));
-            _deliveryIdx = 0;
-            processOutcomes(windowEnd, seq, result);
-        }
-        lastBarrier = windowEnd;
-        if (timing)
-            coordNs += nowNs() - tMerge;
     }
-
-    // Drain: no cross-shard input remains, so every node can run to
-    // completion and flush independently.
-    const std::uint64_t tDrain = timing ? nowNs() : 0;
-    executor.runRound(_shards.size(), [this](std::size_t s) {
-        for (const std::size_t index : _shards[s].nodes) {
-            _nodes[index]->engine().run();
-            _nodes[index]->finalize();
+    if (_recovery != nullptr) {
+        // Recovery deadlines gate on windowStart >= deadline, so
+        // propose the grid point at-or-after them (the same trap as
+        // partition ends above).
+        const sim::Tick recoveryAt = _recovery->nextActionAt();
+        if (recoveryAt != kNever)
+            next = std::min(next, alignToBarrier(recoveryAt, L));
+        // Draining and warming complete through node-local events
+        // (executions finishing, prewarm inits); keep barriers
+        // stepping with them so the FSM observes progress promptly.
+        if (_recovery->needsNodeProgress())
+            nodeProgress = true;
+    }
+    if (nodeProgress) {
+        // A node acts at its next engine event, or at the last barrier
+        // when it holds queued input.
+        for (std::size_t i = 0; i < _nodes.size(); ++i) {
+            next = std::min(next, _pendingInputs[i] == 0
+                                      ? _nodes[i]->engine().nextEventAt()
+                                      : run.lastBarrier);
         }
-    });
-    if (timing)
-        parallelNs += nowNs() - tDrain;
+    }
+    if (_feedbackIdx < _feedbackQueue.size())
+        next = std::min(next, _feedbackQueue[_feedbackIdx].at);
+    return next;
+}
 
+void
+ShardedCluster::preRoute(RunState& run)
+{
+    refreshBreakers(run.windowStart);
+    if (ticketing()) {
+        applyPartitions(run.windowStart, run.windowEnd, run.result);
+        emitDegradedEvents(run.windowEnd);
+        _health->refresh(run.windowStart);
+        emitHealthTransitions();
+    }
+    // Recovery FSM runs before routing (hedges, retries, arrivals) so
+    // every dispatch this window sees the recovering flags; it runs
+    // before the crash drain so census snapshots still read
+    // pre-failure summaries.
+    if (_recovery != nullptr)
+        applyRecovery(run.windowStart, run.windowEnd, run.seq);
+    if (_net != nullptr)
+        launchHedges(run.windowStart, run.windowEnd, run.seq, run.result);
+    drainFeedbackRetries(run.windowEnd, run.seq);
+}
+
+void
+ShardedCluster::route(RunState& run)
+{
+    // Drain the input streams due this window in one merged
+    // (tick, class) order: at the same instant crashes outrank
+    // failover re-issues, which outrank parked deliveries, which
+    // outrank fresh arrivals.
+    while (true) {
+        const sim::Tick crashAt = run.crashIdx < run.crashes.size()
+                                      ? run.crashes[run.crashIdx].at
+                                      : kNever;
+        const sim::Tick failAt =
+            run.failIdx < run.pendingFailover.size()
+                ? run.pendingFailover[run.failIdx].deliverAt
+                : kNever;
+        const sim::Tick deliverAt =
+            _deliveryIdx < _pendingDeliveries.size()
+                ? _pendingDeliveries[_deliveryIdx].deliverAt
+                : kNever;
+        const sim::Tick arriveAt =
+            !run.source.done() ? run.source.peek().time : kNever;
+        const sim::Tick due = std::min(std::min(crashAt, deliverAt),
+                                       std::min(failAt, arriveAt));
+        if (due >= run.windowEnd)
+            break;
+        if (crashAt == due) {
+            const CrashEvent& ev = run.crashes[run.crashIdx++];
+            // Routing inside this window must already see the node as
+            // gone; the summary refresh at the barrier re-evaluates
+            // isDown() for the windows that follow.
+            _summaries[ev.node].down = 1;
+            queueInput(ev.node,
+                       {ev.at, run.seq++, workload::kInvalidFunction,
+                        ev.downUntil, ShardInput::kCrash});
+        } else if (failAt == due) {
+            routeFailover(run, run.pendingFailover[run.failIdx++]);
+        } else if (deliverAt == due) {
+            const Delivery& d = _pendingDeliveries[_deliveryIdx++];
+            queueInput(d.node, {d.deliverAt, run.seq++, d.function, 0,
+                                ShardInput::kInvoke, d.originSpan,
+                                d.ticket});
+        } else {
+            const trace::Arrival arrival = run.source.peek();
+            run.source.pop();
+            routeArrival(run, arrival);
+        }
+    }
+    if (ticketing() && _deliveryIdx < _pendingDeliveries.size()) {
+        // New sends may have parked out-of-order relative to the
+        // undelivered backlog; one sort restores (deliverAt, sendSeq)
+        // before the next window reads the front.
+        std::sort(_pendingDeliveries.begin() +
+                      static_cast<std::ptrdiff_t>(_deliveryIdx),
+                  _pendingDeliveries.end(),
+                  [](const Delivery& a, const Delivery& b) {
+                      if (a.deliverAt != b.deliverAt)
+                          return a.deliverAt < b.deliverAt;
+                      return a.sendSeq < b.sendSeq;
+                  });
+    }
+}
+
+void
+ShardedCluster::routeFailover(RunState& run, const FailoverItem& item)
+{
+    const std::size_t target = _scheduler.pick(_summaries, item.function);
+    ++run.result.reroutedInvocations;
+    if (_obs != nullptr) {
+        _obs->counters().bump(obs::Counter::FailoverRouted,
+                              item.deliverAt);
+        _obs->emit(item.deliverAt, obs::EventType::FailoverRouted, 0,
+                   item.function, static_cast<std::uint8_t>(target),
+                   static_cast<std::uint8_t>(item.fromNode));
+    }
+    // The re-issued attempt keeps its ticket; the watch follows it to
+    // the new node.
+    if (Watch* watch = item.ticket != 0 ? watchOf(item.ticket) : nullptr) {
+        if (item.ticket == watch->hedgeTicket)
+            watch->hedgeNode = static_cast<std::uint32_t>(target);
+        else
+            watch->primaryNode = static_cast<std::uint32_t>(target);
+    }
+    queueInput(target, {item.deliverAt, run.seq++, item.function, 0,
+                        ShardInput::kInvoke, item.originSpan,
+                        item.ticket});
+}
+
+void
+ShardedCluster::routeArrival(RunState& run, const trace::Arrival& arrival)
+{
+    ++_offeredLoad;
+    std::size_t target = 0;
+    bool probe = false;
+    if (ticketing()) {
+        // Probation trickle: the lowest-index reachable node waiting
+        // on a readmission probe takes this arrival instead of the
+        // normal pick.
+        for (std::size_t i = 0; i < _nodes.size(); ++i) {
+            if (_health->wantsProbe(i) && _summaries[i].down == 0 &&
+                _summaries[i].tripped == 0 &&
+                _summaries[i].severed == 0) {
+                target = i;
+                probe = true;
+                break;
+            }
+        }
+    }
+    if (!probe)
+        target = _scheduler.pick(_summaries, arrival.function);
+    if (_obs != nullptr) {
+        _obs->emit(arrival.time, obs::EventType::ClusterRouted, 0,
+                   arrival.function, static_cast<std::uint8_t>(target));
+    }
+    if (!ticketing()) {
+        queueInput(target, {arrival.time, run.seq++, arrival.function, 0,
+                            ShardInput::kInvoke});
+        return;
+    }
+    if (probe) {
+        _health->noteProbeSent(target);
+        if (_obs != nullptr) {
+            _obs->counters().bump(obs::Counter::NodeProbes, arrival.time);
+            _obs->emit(arrival.time, obs::EventType::NodeProbed, 0,
+                       arrival.function,
+                       static_cast<std::uint8_t>(target));
+        }
+    } else if (_health->quarantined(target)) {
+        // The scheduler only lands on a quarantined node when nothing
+        // else is available; with a healthy alternative up this counts
+        // as a violation (chaos_check --gray pins it at zero).
+        for (std::size_t i = 0; i < _nodes.size(); ++i) {
+            if (_summaries[i].down == 0 && _summaries[i].tripped == 0 &&
+                _summaries[i].severed == 0 &&
+                _summaries[i].quarantined == 0) {
+                ++_quarantineViolations;
+                break;
+            }
+        }
+    }
+    Watch watch;
+    watch.function = arrival.function;
+    watch.arrival = arrival.time;
+    watch.sentAt = arrival.time;
+    watch.primaryNode = static_cast<std::uint32_t>(target);
+    watch.isProbe = probe;
+    const std::uint64_t ticket = openWatch(watch);
+    if (probe)
+        _probeTickets.emplace(ticket, static_cast<std::uint32_t>(target));
+    sendInvoke(target, arrival.function, 0, ticket, arrival.time,
+               run.windowEnd, run.seq);
+}
+
+void
+ShardedCluster::binInputs(sim::Tick windowEnd)
+{
+    // One batch pass routes the whole window into per-shard bins,
+    // with capacity reserved from the previous window's high-water
+    // mark so steady-state windows never reallocate; the worker
+    // regroups its bin by node with a single sort.
+    const std::size_t shardCount = _shards.size();
+    if (!_routeScratch.empty()) {
+        for (Shard& shard : _shards)
+            shard.bin.reserve(shard.binHighWater);
+        for (const RoutedInput& r : _routeScratch) {
+            _shards[r.node % shardCount].bin.push_back(r);
+            _pendingInputs[r.node] = 0;
+        }
+        for (Shard& shard : _shards) {
+            shard.binHighWater =
+                std::max(shard.binHighWater, shard.bin.size());
+        }
+        _routeScratch.clear();
+    }
+    // Shards with no input and no due node events would only run
+    // every node's idle fast path; skip them wholesale. The test knob
+    // forces full participation so identity tests exercise the
+    // no-skip path.
+    _activeShards.clear();
+    for (std::size_t s = 0; s < shardCount; ++s) {
+        if (_sharded.fullSummaryCapture || !_shards[s].bin.empty() ||
+            _shards[s].nextEventAt < windowEnd)
+            _activeShards.push_back(s);
+    }
+}
+
+void
+ShardedCluster::mergeSummaries()
+{
+    // Patch the coordinator's table in place from the entries the
+    // workers flagged dirty, preserving the coordinator-owned flags
+    // (tripped, severed, quarantined) that nodes never track —
+    // refreshBreakers, applyPartitions, and emitHealthTransitions keep
+    // those current themselves.
+    for (Shard& shard : _shards) {
+        for (const auto& [index, fresh] : shard.summaryScratch) {
+            NodeSummary& slot = _summaries[index];
+            const std::uint8_t tripped = slot.tripped;
+            const std::uint8_t severed = slot.severed;
+            const std::uint8_t quarantined = slot.quarantined;
+            slot = fresh;
+            slot.tripped = tripped;
+            slot.severed = severed;
+            slot.quarantined = quarantined;
+        }
+        shard.summaryScratch.clear();
+    }
+}
+
+void
+ShardedCluster::mergeOutcomes(RunState& run)
+{
+    // Crash log: merged by (tick, node), independent of which shard
+    // observed what.
+    run.crashed.clear();
+    for (Shard& shard : _shards) {
+        run.crashed.insert(run.crashed.end(), shard.crashLog.begin(),
+                           shard.crashLog.end());
+        shard.crashLog.clear();
+    }
+    std::sort(run.crashed.begin(), run.crashed.end(),
+              [](const CrashRecord& a, const CrashRecord& b) {
+                  return a.at != b.at ? a.at < b.at : a.node < b.node;
+              });
+    for (const CrashRecord& record : run.crashed) {
+        ++run.result.nodeCrashes;
+        if (_obs != nullptr) {
+            _obs->counters().bump(obs::Counter::NodeCrashes, record.at);
+            _obs->emit(record.at, obs::EventType::NodeCrashed, 0, 0,
+                       static_cast<std::uint8_t>(record.node), 0,
+                       sim::toSeconds(record.downUntil - record.at),
+                       static_cast<double>(record.lost));
+        }
+    }
+    // Outboxes: displaced work queues for re-routing, ordered by
+    // (crash tick, node, position) — again partition-independent.
+    std::vector<FailoverItem>& pending = run.pendingFailover;
+    pending.erase(pending.begin(),
+                  pending.begin() + static_cast<std::ptrdiff_t>(run.failIdx));
+    run.failIdx = 0;
+    bool grew = false;
+    for (Shard& shard : _shards) {
+        if (!shard.outbox.empty()) {
+            pending.insert(pending.end(), shard.outbox.begin(),
+                           shard.outbox.end());
+            shard.outbox.clear();
+            grew = true;
+        }
+    }
+    if (grew) {
+        std::sort(pending.begin(), pending.end(),
+                  [](const FailoverItem& a, const FailoverItem& b) {
+                      if (a.deliverAt != b.deliverAt)
+                          return a.deliverAt < b.deliverAt;
+                      if (a.crashAt != b.crashAt)
+                          return a.crashAt < b.crashAt;
+                      if (a.fromNode != b.fromNode)
+                          return a.fromNode < b.fromNode;
+                      return a.index < b.index;
+                  });
+    }
+    if (ticketing()) {
+        _pendingDeliveries.erase(
+            _pendingDeliveries.begin(),
+            _pendingDeliveries.begin() +
+                static_cast<std::ptrdiff_t>(_deliveryIdx));
+        _deliveryIdx = 0;
+        processOutcomes(run.windowEnd, run.seq, run.result);
+    }
+}
+
+void
+ShardedCluster::settleAfterDrain(RunState& run)
+{
     if (ticketing()) {
         // The drain turned every live ticket terminal (completed,
         // failed, or stranded-shed); one final sweep settles the
-        // remaining hedge pairs. Cancels it would issue have no
-        // window left to run in — their losers are already terminal
-        // in this same batch — so drop the dead inbox inputs.
-        processOutcomes(lastBarrier, seq, result);
+        // remaining hedge pairs. Cancels it would issue have no window
+        // left to run in — their losers are already terminal in this
+        // same batch — so drop the dead inbox inputs.
+        processOutcomes(run.lastBarrier, run.seq, run.result);
         _routeScratch.clear();
         std::fill(_pendingInputs.begin(), _pendingInputs.end(), 0);
-        emitDegradedEvents(std::numeric_limits<sim::Tick>::max());
+        emitDegradedEvents(kNever);
         emitHealthTransitions();
     }
     if (_recovery != nullptr) {
         // Close every in-flight episode so the recovery conservation
         // identities hold however the horizon cut the schedule.
-        _recovery->finishPending(lastBarrier);
-        _recovery->report(result);
-        result.retriesFeedback = _retriesFeedback;
-        for (const auto& node : _nodes) {
-            result.prewarmLayers += node->recoveryPrewarmsIssued();
-            result.prewarmHit += node->pool().recoveryPrewarmHits();
-            result.prewarmEvicted +=
-                node->pool().recoveryPrewarmEvicted();
-            result.prewarmWasted += node->pool().recoveryPrewarmWasted();
-            result.prewarmWastedMb +=
-                node->pool().recoveryPrewarmWastedMb();
-        }
+        _recovery->finishPending(run.lastBarrier);
+        _recovery->report(run.result);
+        run.result.retriesFeedback = _retriesFeedback;
     }
+}
 
-    // Fleet latency sketch, merged in node-index order (see Cluster);
-    // the bucket-wise merge is shard-count independent.
+void
+ShardedCluster::assemble(RunState& run)
+{
+    ClusterResult& result = run.result;
+    // Fleet latency sketch: one QuantileSketch per node, merged in
+    // node-index order. The bucket-wise merge is commutative and
+    // associative, so the result is shard-count independent.
     stats::QuantileSketch e2eSketch;
     for (const auto& node : _nodes) {
         const auto& metrics = node->metrics();
@@ -873,6 +860,12 @@ ShardedCluster::run(trace::ArrivalSource& source)
             node->invoker().admittedInvocations();
         result.engineEvents += node->engine().executedEvents();
         result.cancelledInvocations += node->cancelledInvocations();
+        // Recovery prewarms (all zero without a domain plan).
+        result.prewarmLayers += node->recoveryPrewarmsIssued();
+        result.prewarmHit += node->pool().recoveryPrewarmHits();
+        result.prewarmEvicted += node->pool().recoveryPrewarmEvicted();
+        result.prewarmWasted += node->pool().recoveryPrewarmWasted();
+        result.prewarmWastedMb += node->pool().recoveryPrewarmWastedMb();
     }
     for (const auto& breaker : _breakers)
         result.breakerOpens += breaker.openCount();
@@ -919,29 +912,28 @@ ShardedCluster::run(trace::ArrivalSource& source)
             all.insert(all.end(), spans.begin(), spans.end());
             dropped += nodeObs->droppedSpans();
         }
-        _obs->absorbSpans(std::move(all), dropped, horizon);
+        _obs->absorbSpans(std::move(all), dropped, run.horizon);
     }
-    if (timing) {
-        result.coordinatorDrainNs = coordNs;
-        result.routeNs = routedNs;
-        result.summaryCaptureNs = summaryNs;
-        result.parallelNs = parallelNs;
-        if (coordNs + parallelNs > 0) {
+    if (run.timing) {
+        result.coordinatorDrainNs = run.coordNs;
+        result.routeNs = run.routedNs;
+        result.summaryCaptureNs = run.summaryNs;
+        result.parallelNs = run.parallelNs;
+        if (run.coordNs + run.parallelNs > 0) {
             result.serialFraction =
-                static_cast<double>(coordNs) /
-                static_cast<double>(coordNs + parallelNs);
+                static_cast<double>(run.coordNs) /
+                static_cast<double>(run.coordNs + run.parallelNs);
         }
         if (_obs != nullptr) {
             obs::Registry& counters = _obs->counters();
             counters.gaugeMax(obs::Gauge::CoordinatorDrainNs,
-                              static_cast<double>(coordNs));
+                              static_cast<double>(run.coordNs));
             counters.gaugeMax(obs::Gauge::RouteNs,
-                              static_cast<double>(routedNs));
+                              static_cast<double>(run.routedNs));
             counters.gaugeMax(obs::Gauge::SummaryCaptureNs,
-                              static_cast<double>(summaryNs));
+                              static_cast<double>(run.summaryNs));
         }
     }
-    return result;
 }
 
 // ---- gray network / tail tolerance (coordinator only) ------------------
@@ -979,9 +971,8 @@ ShardedCluster::sendInvoke(std::size_t node, workload::FunctionId function,
         queueInput(node, {deliverAt, seq++, function, 0,
                           ShardInput::kInvoke, originSpan, ticket});
     } else {
-        // Crosses the barrier: park it; the main loop's nextTick scan
-        // and the per-window drain pick it up in (deliverAt, sendSeq)
-        // order.
+        // Crosses the barrier: park it; nextWakeUp and route() pick
+        // it up in (deliverAt, sendSeq) order.
         _pendingDeliveries.push_back(
             {deliverAt, seq++, static_cast<std::uint32_t>(node), function,
              originSpan, ticket});
@@ -996,10 +987,8 @@ ShardedCluster::applyPartitions(sim::Tick windowStart, sim::Tick windowEnd,
          it != _activePartitions.end();) {
         const fault::PartitionEvent& ev = _partitions[*it];
         if (ev.end <= windowStart) {
-            for (const std::uint32_t n : ev.nodes) {
-                _severed[n] = 0;
+            for (const std::uint32_t n : ev.nodes)
                 _summaries[n].severed = 0;
-            }
             if (_obs != nullptr) {
                 _obs->emit(ev.end, obs::EventType::PartitionEnd, 0,
                            0xffffffffU,
@@ -1013,10 +1002,8 @@ ShardedCluster::applyPartitions(sim::Tick windowStart, sim::Tick windowEnd,
     while (_partitionIdx < _partitions.size() &&
            _partitions[_partitionIdx].start < windowEnd) {
         const fault::PartitionEvent& ev = _partitions[_partitionIdx];
-        for (const std::uint32_t n : ev.nodes) {
-            _severed[n] = 1;
+        for (const std::uint32_t n : ev.nodes)
             _summaries[n].severed = 1;
-        }
         ++result.partitions;
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::PartitionsStarted,
@@ -1080,6 +1067,31 @@ ShardedCluster::emitHealthTransitions()
     }
 }
 
+sim::Tick
+ShardedCluster::hedgeDeadline(const Watch& watch) const
+{
+    if (watch.resolved || watch.hedgeTicket != 0 || watch.isProbe ||
+        watch.primaryDone)
+        return kNever;
+    const stats::QuantileSketch& sketch = _functionSketches[watch.function];
+    if (sketch.count() < _net->hedgeMinSamples)
+        return kNever;
+    const double budgetSeconds =
+        std::max(sketch.p99() * _net->hedgeLatencyFactor,
+                 _net->hedgeMinBudgetMs / 1000.0);
+    return watch.sentAt + sim::fromSeconds(budgetSeconds);
+}
+
+std::uint64_t
+ShardedCluster::openWatch(Watch watch)
+{
+    const std::uint64_t ticket = _nextTicket++;
+    watch.primaryTicket = ticket;
+    _watches.emplace(ticket, watch);
+    _ticketToPrimary.emplace(ticket, ticket);
+    return ticket;
+}
+
 void
 ShardedCluster::launchHedges(sim::Tick now, sim::Tick windowEnd,
                              std::uint64_t& seq, ClusterResult& result)
@@ -1090,17 +1102,7 @@ ShardedCluster::launchHedges(sim::Tick now, sim::Tick windowEnd,
     // order (and thus the sampler draw order in sendInvoke) is a pure
     // function of coordinator state.
     for (auto& [primaryTicket, watch] : _watches) {
-        if (watch.resolved || watch.hedgeTicket != 0 || watch.isProbe ||
-            watch.primaryDone)
-            continue;
-        const stats::QuantileSketch& sketch =
-            _functionSketches[watch.function];
-        if (sketch.count() < _net->hedgeMinSamples)
-            continue;
-        const double budgetSeconds =
-            std::max(sketch.p99() * _net->hedgeLatencyFactor,
-                     _net->hedgeMinBudgetMs / 1000.0);
-        if (now < watch.sentAt + sim::fromSeconds(budgetSeconds))
+        if (now < hedgeDeadline(watch))
             continue;
         const std::size_t target = _scheduler.pickAvoiding(
             _summaries, watch.function, watch.primaryNode);
@@ -1191,176 +1193,181 @@ ShardedCluster::processOutcomes(sim::Tick barrier, std::uint64_t& seq,
                       return a.outcome.ticket < b.outcome.ticket;
                   return a.outcome.kind < b.outcome.kind;
               });
-
-    // Issue a loser cancel for the next window. The loser may live on
-    // any node, so the cancel routes like any other cross-shard input.
-    const auto issueCancel = [this, barrier, &seq](std::uint32_t node,
-                                                   std::uint64_t ticket) {
-        queueInput(node, {barrier, seq++, workload::kInvalidFunction, 0,
-                          ShardInput::kCancel, 0, ticket});
-    };
-
     for (const TaggedOutcome& tagged : batch) {
-        const platform::TicketOutcome& o = tagged.outcome;
-        const auto pit = _ticketToPrimary.find(o.ticket);
-
-        if (o.kind == platform::TicketOutcome::kAdmitted) {
-            if (pit == _ticketToPrimary.end())
-                continue;
-            Watch& watch = _watches.at(pit->second);
-            const bool hedgeSide = o.ticket == watch.hedgeTicket;
-            if (hedgeSide) {
-                watch.hedgeAdmitted = true;
-            } else {
-                watch.primaryAdmitted = true;
-                if (watch.primaryRoot == 0)
-                    watch.primaryRoot = o.rootSpan;
-            }
-            // The winner committed while this loser was still in
-            // flight: the deferred cancel lands now that the node
-            // holds the ticket.
-            const bool sideDone =
-                hedgeSide ? watch.hedgeDone : watch.primaryDone;
-            if (watch.resolved && !sideDone) {
-                issueCancel(tagged.node, o.ticket);
-                watch.cancelIssued = true;
-            }
-            continue;
+        switch (tagged.outcome.kind) {
+          case platform::TicketOutcome::kAdmitted:
+            onAdmitted(tagged, barrier, seq);
+            break;
+          case platform::TicketOutcome::kCompleted:
+            onCompleted(tagged, barrier, seq, result);
+            break;
+          case platform::TicketOutcome::kCancelled:
+            onCancelled(tagged.outcome, result);
+            break;
+          default: // kFailed / kShed
+            onAttemptDied(tagged.outcome, result);
+            break;
         }
-
-        if (o.kind == platform::TicketOutcome::kCompleted) {
-            // Health + budget feeds see every completion, including
-            // duplicates — the node really did take that long.
-            if (_health != nullptr)
-                _health->recordLatency(tagged.node, o.latencySeconds,
-                                       o.at);
-            result.totalExecSeconds += o.execSeconds;
-            if (pit == _ticketToPrimary.end())
-                continue;
-            Watch& watch = _watches.at(pit->second);
-            const bool hedgeSide = o.ticket == watch.hedgeTicket;
-            _functionSketches[watch.function].add(o.latencySeconds);
-            if (!watch.resolved) {
-                // First winner commits the request.
-                watch.resolved = true;
-                watch.e2eSeconds = sim::toSeconds(o.at - watch.arrival);
-                _requestSketch.add(watch.e2eSeconds);
-                if (o.at >= _recoveryFrom)
-                    _recoverySketch.add(watch.e2eSeconds);
-                if (hedgeSide) {
-                    watch.hedgeDone = true;
-                    ++result.hedgesWon;
-                    if (_obs != nullptr) {
-                        _obs->counters().bump(obs::Counter::HedgesWon,
-                                              o.at);
-                        _obs->emit(o.at, obs::EventType::HedgeWon,
-                                   watch.primaryRoot, watch.function,
-                                   static_cast<std::uint8_t>(
-                                       tagged.node));
-                    }
-                } else {
-                    watch.primaryDone = true;
-                }
-                // Deterministic loser cancellation. Every dispatch is
-                // always delivered (messages delay, never vanish), so
-                // admitted == arrivals + rerouted + hedges_launched
-                // stays an exact identity: the cancel goes to the
-                // loser's node if it has admitted, and is deferred to
-                // its kAdmitted otherwise.
-                const bool loserIsHedge = !hedgeSide;
-                const bool loserLive =
-                    loserIsHedge
-                        ? (watch.hedgeTicket != 0 && !watch.hedgeDone)
-                        : !watch.primaryDone;
-                if (loserLive && !watch.cancelIssued) {
-                    const bool loserAdmitted = loserIsHedge
-                                                   ? watch.hedgeAdmitted
-                                                   : watch.primaryAdmitted;
-                    if (loserAdmitted) {
-                        issueCancel(loserIsHedge ? watch.hedgeNode
-                                                 : watch.primaryNode,
-                                    loserIsHedge ? watch.hedgeTicket
-                                                 : watch.primaryTicket);
-                        watch.cancelIssued = true;
-                    }
-                    // else: still in flight; the cancel is issued when
-                    // its kAdmitted surfaces at a later barrier.
-                }
-            } else {
-                // Both sides completed: the cancel raced the loser's
-                // finish. All of its execution is waste.
-                ++result.duplicateCompletions;
-                result.wastedExecSeconds += o.execSeconds;
-                if (hedgeSide) {
-                    if (!watch.hedgeDone) {
-                        watch.hedgeDone = true;
-                        ++result.hedgesLost;
-                        if (_obs != nullptr) {
-                            _obs->counters().bump(
-                                obs::Counter::HedgesLost, o.at);
-                            _obs->emit(o.at, obs::EventType::HedgeLost,
-                                       watch.primaryRoot, watch.function,
-                                       static_cast<std::uint8_t>(
-                                           watch.hedgeNode));
-                        }
-                    }
-                } else {
-                    watch.primaryDone = true;
-                }
-            }
-            eraseWatchIfComplete(pit->second);
-            continue;
-        }
-
-        if (o.kind == platform::TicketOutcome::kCancelled) {
-            result.wastedExecSeconds += o.execSeconds;
-            const auto probeIt = _probeTickets.find(o.ticket);
-            if (probeIt != _probeTickets.end()) {
-                _health->noteProbeAborted(probeIt->second);
-                _probeTickets.erase(probeIt);
-            }
-            if (pit == _ticketToPrimary.end())
-                continue;
-            Watch& watch = _watches.at(pit->second);
-            if (o.ticket == watch.hedgeTicket) {
-                if (!watch.hedgeDone) {
-                    watch.hedgeDone = true;
-                    ++result.hedgesCancelled;
-                    if (_obs != nullptr) {
-                        _obs->counters().bump(
-                            obs::Counter::HedgesCancelled, o.at);
-                        _obs->emit(o.at, obs::EventType::HedgeCancelled,
-                                   watch.primaryRoot, watch.function,
-                                   static_cast<std::uint8_t>(
-                                       watch.hedgeNode));
-                    }
-                }
-            } else {
-                watch.primaryDone = true;
-            }
-            eraseWatchIfComplete(pit->second);
-            continue;
-        }
-
-        // kFailed / kShed: the attempt died without completing.
-        const auto probeIt = _probeTickets.find(o.ticket);
-        if (probeIt != _probeTickets.end()) {
-            _health->noteProbeAborted(probeIt->second);
-            _probeTickets.erase(probeIt);
-        }
-        if (pit == _ticketToPrimary.end())
-            continue;
-        Watch& watch = _watches.at(pit->second);
-        noteSideDone(watch, o.ticket == watch.hedgeTicket, result, o.at);
-        // Every attempt is terminal and none completed: the request
-        // failed at the client, which re-submits after its backoff
-        // when retry feedback is armed.
-        if (!watch.resolved && watch.primaryDone &&
-            (watch.hedgeTicket == 0 || watch.hedgeDone)) {
-            scheduleFeedbackRetry(watch, o.at);
-        }
-        eraseWatchIfComplete(pit->second);
     }
+}
+
+ShardedCluster::Watch*
+ShardedCluster::watchOf(std::uint64_t ticket)
+{
+    const auto it = _ticketToPrimary.find(ticket);
+    return it == _ticketToPrimary.end() ? nullptr
+                                        : &_watches.at(it->second);
+}
+
+void
+ShardedCluster::issueCancel(std::uint32_t node, std::uint64_t ticket,
+                            sim::Tick barrier, std::uint64_t& seq)
+{
+    queueInput(node, {barrier, seq++, workload::kInvalidFunction, 0,
+                      ShardInput::kCancel, 0, ticket});
+}
+
+void
+ShardedCluster::abortProbe(std::uint64_t ticket)
+{
+    const auto it = _probeTickets.find(ticket);
+    if (it != _probeTickets.end()) {
+        _health->noteProbeAborted(it->second);
+        _probeTickets.erase(it);
+    }
+}
+
+void
+ShardedCluster::onAdmitted(const TaggedOutcome& tagged, sim::Tick barrier,
+                           std::uint64_t& seq)
+{
+    const platform::TicketOutcome& o = tagged.outcome;
+    Watch* found = watchOf(o.ticket);
+    if (found == nullptr)
+        return;
+    Watch& watch = *found;
+    const bool hedgeSide = o.ticket == watch.hedgeTicket;
+    if (hedgeSide) {
+        watch.hedgeAdmitted = true;
+    } else {
+        watch.primaryAdmitted = true;
+        if (watch.primaryRoot == 0)
+            watch.primaryRoot = o.rootSpan;
+    }
+    // The winner committed while this loser was still in flight: the
+    // deferred cancel lands now that the node holds the ticket.
+    const bool sideDone = hedgeSide ? watch.hedgeDone : watch.primaryDone;
+    if (watch.resolved && !sideDone) {
+        issueCancel(tagged.node, o.ticket, barrier, seq);
+        watch.cancelIssued = true;
+    }
+}
+
+void
+ShardedCluster::onCompleted(const TaggedOutcome& tagged, sim::Tick barrier,
+                            std::uint64_t& seq, ClusterResult& result)
+{
+    const platform::TicketOutcome& o = tagged.outcome;
+    // Health + budget feeds see every completion, including
+    // duplicates — the node really did take that long.
+    if (_health != nullptr)
+        _health->recordLatency(tagged.node, o.latencySeconds, o.at);
+    result.totalExecSeconds += o.execSeconds;
+    Watch* found = watchOf(o.ticket);
+    if (found == nullptr)
+        return;
+    Watch& watch = *found;
+    const bool hedgeSide = o.ticket == watch.hedgeTicket;
+    _functionSketches[watch.function].add(o.latencySeconds);
+    if (watch.resolved) {
+        // Both sides completed: the cancel raced the loser's finish.
+        // All of its execution is waste.
+        ++result.duplicateCompletions;
+        result.wastedExecSeconds += o.execSeconds;
+        noteSideDone(watch, hedgeSide, result, o.at);
+        eraseWatchIfComplete(watch.primaryTicket);
+        return;
+    }
+    // First winner commits the request.
+    watch.resolved = true;
+    watch.e2eSeconds = sim::toSeconds(o.at - watch.arrival);
+    _requestSketch.add(watch.e2eSeconds);
+    if (o.at >= _recoveryFrom)
+        _recoverySketch.add(watch.e2eSeconds);
+    if (hedgeSide) {
+        watch.hedgeDone = true;
+        ++result.hedgesWon;
+        if (_obs != nullptr) {
+            _obs->counters().bump(obs::Counter::HedgesWon, o.at);
+            _obs->emit(o.at, obs::EventType::HedgeWon, watch.primaryRoot,
+                       watch.function,
+                       static_cast<std::uint8_t>(tagged.node));
+        }
+    } else {
+        watch.primaryDone = true;
+    }
+    // Deterministic loser cancellation. Every dispatch is always
+    // delivered (messages delay, never vanish), so admitted ==
+    // arrivals + rerouted + hedges_launched stays an exact identity:
+    // the cancel goes to the loser's node if it has admitted, and is
+    // deferred to its kAdmitted otherwise.
+    const bool loserIsHedge = !hedgeSide;
+    const bool loserLive =
+        loserIsHedge ? (watch.hedgeTicket != 0 && !watch.hedgeDone)
+                     : !watch.primaryDone;
+    const bool loserAdmitted =
+        loserIsHedge ? watch.hedgeAdmitted : watch.primaryAdmitted;
+    if (loserLive && !watch.cancelIssued && loserAdmitted) {
+        issueCancel(loserIsHedge ? watch.hedgeNode : watch.primaryNode,
+                    loserIsHedge ? watch.hedgeTicket : watch.primaryTicket,
+                    barrier, seq);
+        watch.cancelIssued = true;
+    }
+    eraseWatchIfComplete(watch.primaryTicket);
+}
+
+void
+ShardedCluster::onCancelled(const platform::TicketOutcome& o,
+                            ClusterResult& result)
+{
+    result.wastedExecSeconds += o.execSeconds;
+    abortProbe(o.ticket);
+    Watch* found = watchOf(o.ticket);
+    if (found == nullptr)
+        return;
+    Watch& watch = *found;
+    if (o.ticket != watch.hedgeTicket) {
+        watch.primaryDone = true;
+    } else if (!watch.hedgeDone) {
+        watch.hedgeDone = true;
+        ++result.hedgesCancelled;
+        if (_obs != nullptr) {
+            _obs->counters().bump(obs::Counter::HedgesCancelled, o.at);
+            _obs->emit(o.at, obs::EventType::HedgeCancelled,
+                       watch.primaryRoot, watch.function,
+                       static_cast<std::uint8_t>(watch.hedgeNode));
+        }
+    }
+    eraseWatchIfComplete(watch.primaryTicket);
+}
+
+void
+ShardedCluster::onAttemptDied(const platform::TicketOutcome& o,
+                              ClusterResult& result)
+{
+    abortProbe(o.ticket);
+    Watch* found = watchOf(o.ticket);
+    if (found == nullptr)
+        return;
+    Watch& watch = *found;
+    noteSideDone(watch, o.ticket == watch.hedgeTicket, result, o.at);
+    // Every attempt is terminal and none completed: the request failed
+    // at the client, which re-submits after its backoff when retry
+    // feedback is armed.
+    if (!watch.resolved && watch.primaryDone &&
+        (watch.hedgeTicket == 0 || watch.hedgeDone))
+        scheduleFeedbackRetry(watch, o.at);
+    eraseWatchIfComplete(watch.primaryTicket);
 }
 
 // ---- recovery orchestration (coordinator only) --------------------------
@@ -1456,10 +1463,8 @@ ShardedCluster::scheduleFeedbackRetry(const Watch& watch, sim::Tick at)
 
 void
 ShardedCluster::drainFeedbackRetries(sim::Tick windowEnd,
-                                     std::uint64_t& seq,
-                                     ClusterResult& result)
+                                     std::uint64_t& seq)
 {
-    (void)result;
     if (_feedbackIdx >= _feedbackQueue.size())
         return;
     // Outcomes drain in (at, ...) order with a constant backoff, so
@@ -1488,16 +1493,13 @@ ShardedCluster::drainFeedbackRetries(sim::Tick windowEnd,
                        static_cast<std::uint8_t>(
                            std::min<std::uint32_t>(retry.attempt, 255)));
         }
-        const std::uint64_t ticket = _nextTicket++;
         Watch watch;
         watch.function = retry.function;
         watch.arrival = retry.at;
         watch.sentAt = retry.at;
-        watch.primaryTicket = ticket;
         watch.primaryNode = static_cast<std::uint32_t>(target);
         watch.feedbackAttempt = retry.attempt;
-        _watches.emplace(ticket, watch);
-        _ticketToPrimary.emplace(ticket, ticket);
+        const std::uint64_t ticket = openWatch(watch);
         sendInvoke(target, retry.function, 0, ticket, retry.at,
                    windowEnd, seq);
     }

@@ -3,14 +3,12 @@
  * Sharded conservative-synchronization cluster core: one cluster run
  * on all cores, bit-identical at any shard and thread count.
  *
- * The legacy Cluster steps every node on one thread, advancing the
- * whole fleet to each arrival instant. The sharded core partitions
- * nodes into shards (node i -> shard i % shards), each stepping its
- * nodes' engines on a worker thread, and synchronizes them on a
- * barrier grid whose pitch is the *lookahead* L — the minimum
- * cross-node hop latency from the cost model. Because no effect can
- * cross nodes faster than L, a shard may run a whole window
- * [W, W + L) without observing the others.
+ * The cluster partitions its nodes into shards (node i -> shard
+ * i % shards), each stepping its nodes' engines on a worker thread,
+ * and synchronizes them on a barrier grid whose pitch is the
+ * *lookahead* L — the minimum cross-node hop latency from the cost
+ * model. Because no effect can cross nodes faster than L, a shard may
+ * run a whole window [W, W + L) without observing the others.
  *
  * All cross-shard interaction is mediated by the single-threaded
  * coordinator at barriers:
@@ -47,15 +45,16 @@
 #include <unordered_map>
 #include <vector>
 
+#include "admission/circuit_breaker.hh"
 #include "cluster/cluster.hh"
 #include "cluster/node_health.hh"
-#include "trace/arrival_source.hh"
 #include "cluster/recovery_orchestrator.hh"
 #include "cluster/shard_scheduler.hh"
 #include "core/cost_model.hh"
 #include "fault/network_plan.hh"
 #include "sim/shard_executor.hh"
 #include "stats/quantile_sketch.hh"
+#include "trace/arrival_source.hh"
 
 namespace rc::cluster {
 
@@ -154,10 +153,10 @@ alignToBarrier(sim::Tick tick, sim::Tick pitch)
 }
 
 /**
- * The inbox drain order: (tick, kind, seq). Matches the legacy serial
- * cluster, which processes crashes due at an arrival instant before
- * the arrival itself. The seq tie-break is assigned globally by the
- * coordinator, so the order never depends on the partitioning.
+ * The inbox drain order: (tick, kind, seq). A crash due at an
+ * arrival instant is processed before the arrival itself. The seq
+ * tie-break is assigned globally by the coordinator, so the order
+ * never depends on the partitioning.
  */
 inline bool
 shardInputBefore(const ShardInput& a, const ShardInput& b)
@@ -169,11 +168,11 @@ shardInputBefore(const ShardInput& a, const ShardInput& b)
     return a.seq < b.seq;
 }
 
-/** A Cluster stepped by shards between conservative barriers. */
+/** A fleet of worker nodes stepped by shards between barriers. */
 class ShardedCluster
 {
   public:
-    using PolicyFactory = Cluster::PolicyFactory;
+    using PolicyFactory = cluster::PolicyFactory;
 
     ShardedCluster(const workload::Catalog& catalog,
                    const PolicyFactory& factory, ClusterConfig config,
@@ -216,6 +215,9 @@ class ShardedCluster
     }
 
   private:
+    /** "No such tick": an exhausted stream, or nothing left to do. */
+    static constexpr sim::Tick kNever = std::numeric_limits<sim::Tick>::max();
+
     /** Work a crash displaced, awaiting re-route at the next barrier. */
     struct FailoverItem
     {
@@ -321,6 +323,13 @@ class ShardedCluster
         std::uint32_t feedbackAttempt = 0;
     };
 
+    /** One ticket outcome and the node that reported it. */
+    struct TaggedOutcome
+    {
+        platform::TicketOutcome outcome;
+        std::uint32_t node = 0;
+    };
+
     /** One client retry-feedback re-submission awaiting dispatch. */
     struct FeedbackRetry
     {
@@ -329,6 +338,91 @@ class ShardedCluster
         workload::FunctionId function = workload::kInvalidFunction;
         std::uint32_t attempt = 0;
     };
+
+    /**
+     * Everything one run() call threads through its phases: the
+     * arrival source, the result under construction, the pre-drawn
+     * crash stream, the failover queue, the global input sequence,
+     * the current window, and the phase wall-clock accumulators.
+     */
+    struct RunState
+    {
+        RunState(trace::ArrivalSource& arrivals, bool timed)
+            : source(arrivals), timing(timed)
+        {
+        }
+
+        /** Steady-clock ns when timing is on, else 0 (no clock read). */
+        std::uint64_t clock() const;
+
+        trace::ArrivalSource& source;
+        ClusterResult result;
+        sim::Tick horizon = 0;
+        /** Summary-staleness cap, rounded up to whole windows. */
+        sim::Tick maxStride = 0;
+        /** Pre-drawn crashes in (at, node) order; crashIdx is next. */
+        std::vector<CrashEvent> crashes;
+        std::size_t crashIdx = 0;
+        /** Displaced work awaiting re-route; failIdx is next due. */
+        std::vector<FailoverItem> pendingFailover;
+        std::size_t failIdx = 0;
+        /** Crash-log merge scratch, reused per window. */
+        std::vector<CrashRecord> crashed;
+        /** Coordinator-assigned global input sequence. */
+        std::uint64_t seq = 0;
+        sim::Tick lastBarrier = 0;
+        /** The window being processed: [windowStart, windowEnd). */
+        sim::Tick windowStart = 0;
+        sim::Tick windowEnd = 0;
+
+        /** ShardedConfig::phaseTimings; the four sums feed the
+         *  coordinatorDrainNs / routeNs / summaryCaptureNs /
+         *  parallelNs result fields. */
+        const bool timing;
+        std::uint64_t coordNs = 0;
+        std::uint64_t routedNs = 0;
+        std::uint64_t summaryNs = 0;
+        std::uint64_t parallelNs = 0;
+    };
+
+    // ---- run() phases, in the order one window runs them ---------------
+
+    /** Arm node-local fault chains, pre-draw the crash, outage,
+     *  degraded-window and partition schedules, and take the first
+     *  summaries. */
+    void arm(RunState& run);
+
+    /** The next tick the coordinator has to act at; kNever once no
+     *  input, watch, partition or recovery deadline remains. */
+    sim::Tick nextWakeUp(const RunState& run) const;
+
+    /** Breakers, partitions, node health, recovery, hedges and retry
+     *  feedback: everything this window's routing must already see. */
+    void preRoute(RunState& run);
+
+    /** Route crashes, failover re-issues, parked deliveries and fresh
+     *  arrivals due before the window end, in merged tick order. */
+    void route(RunState& run);
+    void routeFailover(RunState& run, const FailoverItem& item);
+    void routeArrival(RunState& run, const trace::Arrival& arrival);
+
+    /** Distribute the routed inputs into per-shard bins and select
+     *  the shards that must run a round before @p windowEnd. */
+    void binInputs(sim::Tick windowEnd);
+
+    /** Patch the workers' summary deltas into _summaries. */
+    void mergeSummaries();
+
+    /** Merge the round's crash logs and failover outboxes, then
+     *  settle the ticket outcomes the nodes reported. */
+    void mergeOutcomes(RunState& run);
+
+    /** Settle the tickets the drain finished and close recovery. */
+    void settleAfterDrain(RunState& run);
+
+    /** Fold node counters, sketches, spans and phase timings into
+     *  run.result. */
+    void assemble(RunState& run);
 
     NodeSummary captureSummary(platform::Node& node) const;
     void runShardWindow(Shard& shard, sim::Tick windowEnd);
@@ -354,9 +448,6 @@ class ShardedCluster
      *  domain plan is active (both track requests end-to-end). */
     bool ticketing() const { return _ticketed; }
 
-    /** True when a DomainPlan drives a recovery orchestrator. */
-    bool domainActive() const { return _recovery != nullptr; }
-
     /**
      * Route one invoke to @p node through the gray network: samples
      * the link delay, emits delay/drop events, and either delivers
@@ -380,10 +471,49 @@ class ShardedCluster
      * Process ticket outcomes drained from every node at a barrier:
      * first-winner-commits hedge resolution, loser cancellation,
      * latency feeds (function sketches, node health), and the
-     * counter/event bookkeeping.
+     * counter/event bookkeeping. Dispatches each outcome, in global
+     * (at, ticket, kind) order, to one of the handlers below.
      */
     void processOutcomes(sim::Tick barrier, std::uint64_t& seq,
                          ClusterResult& result);
+
+    /** An attempt reached its node: record it, and deliver the cancel
+     *  deferred while a committed request's loser was in flight. */
+    void onAdmitted(const TaggedOutcome& tagged, sim::Tick barrier,
+                    std::uint64_t& seq);
+
+    /** An attempt completed: the first completion commits its request
+     *  and cancels the other side; a second one is a duplicate. */
+    void onCompleted(const TaggedOutcome& tagged, sim::Tick barrier,
+                     std::uint64_t& seq, ClusterResult& result);
+
+    /** A loser's cancel landed. */
+    void onCancelled(const platform::TicketOutcome& o,
+                     ClusterResult& result);
+
+    /** An attempt failed or was shed; a request with no live attempt
+     *  left goes to client retry feedback. */
+    void onAttemptDied(const platform::TicketOutcome& o,
+                       ClusterResult& result);
+
+    /** The watch @p ticket (primary or hedge) belongs to, or null. */
+    Watch* watchOf(std::uint64_t ticket);
+
+    /** Queue a cancel of @p ticket on @p node for the next window; the
+     *  loser may live on any shard, so it routes like any input. */
+    void issueCancel(std::uint32_t node, std::uint64_t ticket,
+                     sim::Tick barrier, std::uint64_t& seq);
+
+    /** A probe ticket died before completing: let the node re-probe. */
+    void abortProbe(std::uint64_t ticket);
+
+    /** Tick at which @p watch's primary should be hedged; kNever when
+     *  the watch cannot hedge (settled, already hedged, a probe, or
+     *  its function has too few samples for a latency budget). */
+    sim::Tick hedgeDeadline(const Watch& watch) const;
+
+    /** Register @p watch under a fresh primary ticket; returns it. */
+    std::uint64_t openWatch(Watch watch);
 
     /** Launch hedges for watches past their latency budget. */
     void launchHedges(sim::Tick now, sim::Tick windowEnd,
@@ -421,8 +551,7 @@ class ShardedCluster
 
     /** Dispatch feedback retries whose backoff expired before
      *  @p windowEnd, exactly like fresh arrivals. */
-    void drainFeedbackRetries(sim::Tick windowEnd, std::uint64_t& seq,
-                              ClusterResult& result);
+    void drainFeedbackRetries(sim::Tick windowEnd, std::uint64_t& seq);
 
     const workload::Catalog& _catalog;
     ClusterConfig _config;
@@ -434,10 +563,10 @@ class ShardedCluster
     std::vector<admission::CircuitBreaker> _breakers;
     obs::Observer* _obs = nullptr;
     /**
-     * Span-only per-node observers (same scheme as Cluster): each
-     * node buffers its own spans during the parallel phase — no
-     * shared state — and run() merges them into _obs sort-once on
-     * partition-independent keys after the drain.
+     * Span-only per-node observers: each node buffers its own spans
+     * during the parallel phase — no shared state — and run() merges
+     * them into _obs sort-once on partition-independent keys after
+     * the drain.
      */
     std::vector<std::unique_ptr<obs::Observer>> _nodeObservers;
 
@@ -455,11 +584,6 @@ class ShardedCluster
      *  owning shard's worker during a round (disjoint per shard). */
     std::vector<std::uint64_t> _summaryStamps;
     /** processOutcomes batch scratch (capacity reused per barrier). */
-    struct TaggedOutcome
-    {
-        platform::TicketOutcome outcome;
-        std::uint32_t node = 0;
-    };
     std::vector<TaggedOutcome> _outcomeScratch;
 
     // Circuit-breaker feeds (coordinator-only).
@@ -479,7 +603,6 @@ class ShardedCluster
     std::vector<fault::PartitionEvent> _partitions;
     std::size_t _partitionIdx = 0;     //!< next partition to start
     std::vector<std::size_t> _activePartitions; //!< started, not ended
-    std::vector<std::uint8_t> _severed; //!< per-node partition flag
     std::vector<Delivery> _pendingDeliveries; //!< (deliverAt, sendSeq)
     std::size_t _deliveryIdx = 0;
     std::uint64_t _nextTicket = 1;

@@ -1,6 +1,5 @@
 #include "exp/cluster_run.hh"
 
-#include <algorithm>
 #include <ostream>
 
 namespace rc::exp {
@@ -10,29 +9,8 @@ runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
            const std::vector<trace::Arrival>& arrivals,
            const ClusterRunConfig& config)
 {
-    cluster::ClusterConfig clusterConfig;
-    clusterConfig.nodes = config.nodes;
-    clusterConfig.node = config.node;
-    clusterConfig.scheduling = config.scheduling;
-    // The gray network model (ticketed dispatch, hedging, quarantine)
-    // and the recovery orchestrator (correlated domains) live in the
-    // sharded coordinator only; a network- or domain-active plan
-    // silently upgrades the legacy serial selection to one shard,
-    // which steps nodes serially anyway.
-    const bool wantsCoordinator = config.node.fault.network.active() ||
-                                  config.node.fault.domain.active();
-    if (config.shards == 0 && !wantsCoordinator) {
-        cluster::Cluster cluster(catalog, factory, clusterConfig);
-        return cluster.run(arrivals);
-    }
-    cluster::ShardedConfig sharded;
-    sharded.shards = std::max<std::size_t>(1, config.shards);
-    sharded.threads = config.threads;
-    sharded.cost = config.cost;
-    sharded.phaseTimings = config.phaseTimings;
-    cluster::ShardedCluster cluster(catalog, factory, clusterConfig,
-                                    sharded);
-    return cluster.run(arrivals);
+    trace::VectorArrivalSource source(arrivals);
+    return runCluster(catalog, factory, source, config);
 }
 
 cluster::ClusterResult
@@ -44,7 +22,7 @@ runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
     clusterConfig.node = config.node;
     clusterConfig.scheduling = config.scheduling;
     cluster::ShardedConfig sharded;
-    sharded.shards = std::max<std::size_t>(1, config.shards);
+    sharded.shards = config.shards;
     sharded.threads = config.threads;
     sharded.cost = config.cost;
     sharded.phaseTimings = config.phaseTimings;
@@ -53,49 +31,76 @@ runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
     return cluster.run(source);
 }
 
+std::vector<SummaryColumn>
+clusterSummaryColumns(const cluster::ClusterResult& r)
+{
+    const auto count = [](std::uint64_t n) { return n; };
+    return {
+        {"scheduling", r.schedulingName},
+        {"nodes", count(r.perNodeInvocations.size())},
+        {"windows", r.windows},
+        {"invocations", r.invocations},
+        {"cold", r.coldStarts},
+        {"mean_startup_s", r.meanStartupSeconds},
+        {"total_startup_s", r.totalStartupSeconds},
+        {"waste_gbs", r.totalWasteMbSeconds / 1024.0},
+        {"stranded", count(r.strandedInvocations)},
+        {"crashes", r.nodeCrashes},
+        {"rerouted", r.reroutedInvocations},
+        {"failed", r.failedInvocations},
+        {"rejected", r.rejectedInvocations},
+        {"shed_deadline", r.shedDeadline},
+        {"shed_pressure", r.shedPressure},
+        {"breaker_opens", r.breakerOpens},
+        {"admitted", r.admittedInvocations},
+        {"engine_events", r.engineEvents},
+        {"cancelled", r.cancelledInvocations},
+        {"hedges_launched", r.hedgesLaunched},
+        {"hedges_won", r.hedgesWon},
+        {"hedges_cancelled", r.hedgesCancelled},
+        {"hedges_lost", r.hedgesLost},
+        {"duplicates", r.duplicateCompletions},
+        {"wasted_exec_s", r.wastedExecSeconds},
+        {"quarantines", r.quarantines},
+        {"probes", r.probes},
+        {"partitions", r.partitions},
+        {"msgs_delayed", r.msgsDelayed},
+        {"msgs_dropped", r.msgsDropped},
+        {"domain_outages", r.domainOutages},
+        {"outage_episodes", r.outageNodeEpisodes},
+        {"upgrade_episodes", r.upgradeEpisodes},
+        {"nodes_drained", r.nodesDrained},
+        {"nodes_killed", r.nodesKilled},
+        {"recovered_nodes", r.recoveredNodes},
+        {"rejoin_wait_s", r.rejoinWaitSeconds},
+        {"prewarm_layers", r.prewarmLayers},
+        {"prewarm_hit", r.prewarmHit},
+        {"prewarm_evicted", r.prewarmEvicted},
+        {"prewarm_wasted", r.prewarmWasted},
+        {"prewarm_wasted_mb", r.prewarmWastedMb},
+        {"retries_feedback", r.retriesFeedback},
+        {"time_to_goodput_s", r.timeToGoodputSeconds},
+        {"recovery_p99_s", r.recoveryP99Seconds},
+        {"recovery_p999_s", r.recoveryP999Seconds},
+    };
+}
+
 void
 writeClusterSummaryCsv(std::ostream& out,
                        const cluster::ClusterResult& result)
 {
-    out << "scheduling,nodes,windows,invocations,cold,mean_startup_s,"
-           "total_startup_s,waste_gbs,stranded,crashes,rerouted,failed,"
-           "rejected,shed_deadline,shed_pressure,breaker_opens,admitted,"
-           "engine_events,cancelled,hedges_launched,hedges_won,"
-           "hedges_cancelled,hedges_lost,duplicates,wasted_exec_s,"
-           "quarantines,probes,partitions,msgs_delayed,msgs_dropped,"
-           "domain_outages,outage_episodes,upgrade_episodes,"
-           "nodes_drained,nodes_killed,recovered_nodes,rejoin_wait_s,"
-           "prewarm_layers,prewarm_hit,prewarm_evicted,prewarm_wasted,"
-           "prewarm_wasted_mb,retries_feedback,time_to_goodput_s,"
-           "recovery_p99_s,recovery_p999_s\n";
-    out << result.schedulingName << ','
-        << result.perNodeInvocations.size() << ',' << result.windows
-        << ',' << result.invocations << ',' << result.coldStarts << ','
-        << result.meanStartupSeconds << ','
-        << result.totalStartupSeconds << ','
-        << result.totalWasteMbSeconds / 1024.0 << ','
-        << result.strandedInvocations << ',' << result.nodeCrashes << ','
-        << result.reroutedInvocations << ',' << result.failedInvocations
-        << ',' << result.rejectedInvocations << ','
-        << result.shedDeadline << ',' << result.shedPressure << ','
-        << result.breakerOpens << ',' << result.admittedInvocations
-        << ',' << result.engineEvents << ','
-        << result.cancelledInvocations << ',' << result.hedgesLaunched
-        << ',' << result.hedgesWon << ',' << result.hedgesCancelled
-        << ',' << result.hedgesLost << ',' << result.duplicateCompletions
-        << ',' << result.wastedExecSeconds << ',' << result.quarantines
-        << ',' << result.probes << ',' << result.partitions << ','
-        << result.msgsDelayed << ',' << result.msgsDropped << ','
-        << result.domainOutages << ',' << result.outageNodeEpisodes
-        << ',' << result.upgradeEpisodes << ',' << result.nodesDrained
-        << ',' << result.nodesKilled << ',' << result.recoveredNodes
-        << ',' << result.rejoinWaitSeconds << ','
-        << result.prewarmLayers << ',' << result.prewarmHit << ','
-        << result.prewarmEvicted << ',' << result.prewarmWasted << ','
-        << result.prewarmWastedMb << ',' << result.retriesFeedback
-        << ',' << result.timeToGoodputSeconds << ','
-        << result.recoveryP99Seconds << ','
-        << result.recoveryP999Seconds << '\n';
+    const std::vector<SummaryColumn> columns =
+        clusterSummaryColumns(result);
+    for (std::size_t i = 0; i < columns.size(); ++i)
+        out << (i == 0 ? "" : ",") << columns[i].name;
+    out << '\n';
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        if (i > 0)
+            out << ',';
+        std::visit([&out](const auto& value) { out << value; },
+                   columns[i].value);
+    }
+    out << '\n';
 }
 
 void

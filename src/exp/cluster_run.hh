@@ -1,14 +1,18 @@
 /**
  * @file
- * Cluster-mode experiment harness: one entry point that picks the
- * legacy serial core or the sharded parallel core, plus the CSV
- * writers the determinism suite diffs byte-for-byte.
+ * Cluster-mode experiment harness: the library entry point for a
+ * multi-node run, plus the CSV writers the determinism suite diffs
+ * byte-for-byte.
  */
 
 #ifndef RC_EXP_CLUSTER_RUN_HH_
 #define RC_EXP_CLUSTER_RUN_HH_
 
+#include <cstdint>
 #include <iosfwd>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "cluster/sharded_cluster.hh"
 #include "exp/experiment.hh"
@@ -23,65 +27,66 @@ struct ClusterRunConfig
     /** Routing policy. */
     cluster::Scheduling scheduling = cluster::Scheduling::LocalityAware;
     /**
-     * Node partitions for the sharded core; 0 selects the legacy
-     * serial Cluster (exact-state routing), >= 1 the sharded core
-     * (barrier-time summary routing). The two cores are distinct
-     * semantics: results are bit-identical across shard *counts*, not
-     * across the 0 / >= 1 boundary. A network-active fault plan
-     * (gray failures / hedging) or a domain-active one (correlated
-     * outages / recovery orchestration) upgrades 0 to 1 shard — the
-     * ticketed dispatch path and the recovery orchestrator live in
-     * the sharded coordinator only.
+     * Node partitions stepped in parallel; clamped to [1, nodes].
+     * Results are bit-identical at any shard count — only wall clock
+     * changes.
      */
-    std::size_t shards = 0;
-    /** Worker threads for the sharded core; 0 picks automatically. */
+    std::size_t shards = 1;
+    /** Worker threads stepping the shards; 0 picks automatically. */
     std::size_t threads = 0;
     /** Per-node configuration. */
     platform::NodeConfig node;
-    /** Hop latencies the sharded core derives its lookahead from. */
+    /** Hop latencies the barrier lookahead is derived from. */
     core::CostConfig cost;
     /**
-     * Measure the coordinator-phase wall-clock breakdown (sharded
-     * core only; see ClusterResult::coordinatorDrainNs). Off by
-     * default: the numbers are host-dependent and benchmarks are the
-     * only consumer.
+     * Measure the coordinator-phase wall-clock breakdown (see
+     * ClusterResult::coordinatorDrainNs). Off by default: the numbers
+     * are host-dependent and benchmarks are the only consumer.
      */
     bool phaseTimings = false;
 };
 
-/** Run @p factory's policy over @p arrivals on a cluster. */
+/**
+ * Run @p factory's policy over @p arrivals on a cluster. A shim over
+ * the streaming overload (wraps the vector in a
+ * trace::VectorArrivalSource).
+ */
 cluster::ClusterResult
 runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
            const std::vector<trace::Arrival>& arrivals,
            const ClusterRunConfig& config);
 
 /**
- * Streaming variant: pull arrivals from @p source instead of a
- * materialized vector, so resident memory stays O(window) regardless
- * of trace length. Always runs the sharded core (shards clamped to
- * >= 1): the legacy serial Cluster routes on exact state at each
- * arrival and has no windowed consumption to stream into. Results are
- * bit-identical to the vector overload with the same shard count.
+ * Pull arrivals from @p source instead of a materialized vector, so
+ * resident memory stays O(window) regardless of trace length.
  */
 cluster::ClusterResult
 runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
            trace::ArrivalSource& source, const ClusterRunConfig& config);
 
+/** One cluster_summary.csv cell: a label, an event count, or a real. */
+using SummaryValue = std::variant<std::string, std::uint64_t, double>;
+
+/** One named cluster_summary.csv column. */
+struct SummaryColumn
+{
+    const char* name;
+    SummaryValue value;
+};
+
 /**
- * One header + one row, every ClusterResult aggregate:
- * scheduling,nodes,windows,invocations,cold,mean_startup_s,
- * total_startup_s,waste_gbs,stranded,crashes,rerouted,failed,
- * rejected,shed_deadline,shed_pressure,breaker_opens,admitted,
- * engine_events,cancelled,hedges_launched,hedges_won,
- * hedges_cancelled,hedges_lost,duplicates,wasted_exec_s,quarantines,
- * probes,partitions,msgs_delayed,msgs_dropped,domain_outages,
- * outage_episodes,upgrade_episodes,nodes_drained,nodes_killed,
- * recovered_nodes,rejoin_wait_s,prewarm_layers,prewarm_hit,
- * prewarm_evicted,prewarm_wasted,prewarm_wasted_mb,retries_feedback,
- * time_to_goodput_s,recovery_p99_s,recovery_p999_s
- *
- * All sums are accumulated in node order regardless of shard count,
- * so the bytes written here are the determinism pin.
+ * The cluster_summary.csv columns of @p result, in file order. This
+ * table is the single source of the CSV header, its row, and
+ * obs_check --fleet's parser, which reads every std::uint64_t column
+ * as an event count.
+ */
+std::vector<SummaryColumn>
+clusterSummaryColumns(const cluster::ClusterResult& result);
+
+/**
+ * One header + one row, every clusterSummaryColumns() entry. All sums
+ * are accumulated in node order regardless of shard count, so the
+ * bytes written here are the determinism pin.
  */
 void writeClusterSummaryCsv(std::ostream& out,
                             const cluster::ClusterResult& result);

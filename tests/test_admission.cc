@@ -13,7 +13,7 @@
 #include "admission/admission_controller.hh"
 #include "admission/admission_plan.hh"
 #include "admission/circuit_breaker.hh"
-#include "cluster/cluster.hh"
+#include "cluster/sharded_cluster.hh"
 #include "core/ablations.hh"
 #include "core/rainbowcake_policy.hh"
 #include "obs/observer.hh"
@@ -780,7 +780,7 @@ TEST(AdmissionClusterTest, BreakersTripOnFailingNodes)
 
     obs::Observer observer;
     config.node.observer = &observer;
-    cluster::Cluster cluster(
+    cluster::ShardedCluster cluster(
         catalog,
         [&catalog] { return core::makeRainbowCake(catalog); }, config);
     const auto result = cluster.run(arrivals);
@@ -810,7 +810,7 @@ TEST(AdmissionClusterTest, NoBreakersWithoutAThreshold)
     const auto catalog = workload::Catalog::standard20();
     cluster::ClusterConfig config;
     config.nodes = 2;
-    cluster::Cluster cluster(
+    cluster::ShardedCluster cluster(
         catalog,
         [&catalog] { return core::makeRainbowCake(catalog); }, config);
     EXPECT_TRUE(cluster.breakers().empty());

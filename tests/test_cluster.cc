@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for the §8 extensions: the multi-node cluster with
- * locality/sharing/load scheduling, and the tiered (NVM) caching
- * decorator.
+ * locality/sharing/load scheduling (run here at one shard), and the
+ * tiered (NVM) caching decorator.
  */
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster.hh"
+#include "cluster/sharded_cluster.hh"
 #include "core/ablations.hh"
 #include "core/tiered.hh"
 #include "exp/experiment.hh"
@@ -32,10 +32,19 @@ class ClusterTest : public ::testing::Test
         return *catalog.findByShortName(name);
     }
 
-    Cluster::PolicyFactory
+    PolicyFactory
     rainbowFactory() const
     {
         return [this] { return core::makeRainbowCake(catalog); };
+    }
+
+    /** Replay @p arrivals on a RainbowCake cluster at one shard. */
+    ClusterResult
+    runOn(const ClusterConfig& config,
+          const std::vector<trace::Arrival>& arrivals) const
+    {
+        return ShardedCluster(catalog, rainbowFactory(), config)
+            .run(arrivals);
     }
 
     std::vector<trace::Arrival>
@@ -56,7 +65,7 @@ TEST_F(ClusterTest, RejectsEmptyCluster)
 {
     ClusterConfig config;
     config.nodes = 0;
-    EXPECT_THROW(Cluster(catalog, rainbowFactory(), config),
+    EXPECT_THROW(ShardedCluster(catalog, rainbowFactory(), config),
                  std::runtime_error);
 }
 
@@ -72,11 +81,10 @@ TEST_F(ClusterTest, RoundRobinRotates)
     ClusterConfig config;
     config.nodes = 3;
     config.scheduling = Scheduling::RoundRobin;
-    Cluster cluster(catalog, rainbowFactory(), config);
     std::vector<trace::Arrival> arrivals;
     for (int i = 0; i < 9; ++i)
         arrivals.push_back({i * kMinute, fid("MD-Py")});
-    const auto result = cluster.run(arrivals);
+    const auto result = runOn(config, arrivals);
     EXPECT_EQ(result.invocations, 9u);
     ASSERT_EQ(result.perNodeInvocations.size(), 3u);
     for (const auto count : result.perNodeInvocations)
@@ -88,13 +96,12 @@ TEST_F(ClusterTest, LocalityRoutesToWarmNode)
     ClusterConfig config;
     config.nodes = 4;
     config.scheduling = Scheduling::LocalityAware;
-    Cluster cluster(catalog, rainbowFactory(), config);
     // Repeated invocations of one sparse function must converge onto
     // a single node (the one holding its warm container).
     std::vector<trace::Arrival> arrivals;
     for (int i = 0; i < 10; ++i)
         arrivals.push_back({i * kMinute, fid("DS-Java")});
-    const auto result = cluster.run(arrivals);
+    const auto result = runOn(config, arrivals);
     std::size_t active = 0;
     for (const auto count : result.perNodeInvocations)
         active += (count > 0) ? 1 : 0;
@@ -114,14 +121,12 @@ TEST_F(ClusterTest, RoundRobinWastesWarmthAcrossNodes)
     ClusterConfig locality;
     locality.nodes = 4;
     locality.scheduling = Scheduling::LocalityAware;
-    const auto localityResult =
-        Cluster(catalog, rainbowFactory(), locality).run(arrivals);
+    const auto localityResult = runOn(locality, arrivals);
 
     ClusterConfig rr;
     rr.nodes = 4;
     rr.scheduling = Scheduling::RoundRobin;
-    const auto rrResult =
-        Cluster(catalog, rainbowFactory(), rr).run(arrivals);
+    const auto rrResult = runOn(rr, arrivals);
 
     EXPECT_GT(rrResult.coldStarts, localityResult.coldStarts);
     EXPECT_GT(rrResult.totalStartupSeconds,
@@ -137,8 +142,7 @@ TEST_F(ClusterTest, AllInvocationsServedUnderEveryScheduling)
         ClusterConfig config;
         config.nodes = 4;
         config.scheduling = scheduling;
-        const auto result =
-            Cluster(catalog, rainbowFactory(), config).run(arrivals);
+        const auto result = runOn(config, arrivals);
         EXPECT_EQ(result.invocations, arrivals.size())
             << toString(scheduling);
         EXPECT_EQ(result.strandedInvocations, 0u) << toString(scheduling);
@@ -164,10 +168,8 @@ TEST_F(ClusterTest, LeastLoadedBalancesBetterThanLocality)
     ClusterConfig la;
     la.nodes = 4;
     la.scheduling = Scheduling::LocalityAware;
-    const auto balanced =
-        Cluster(catalog, rainbowFactory(), ll).run(arrivals);
-    const auto local =
-        Cluster(catalog, rainbowFactory(), la).run(arrivals);
+    const auto balanced = runOn(ll, arrivals);
+    const auto local = runOn(la, arrivals);
     EXPECT_LE(imbalance(balanced), imbalance(local));
 }
 
@@ -178,7 +180,7 @@ TEST_F(ClusterTest, LocalityBeatsBlindSchedulingOnStartup)
         ClusterConfig config;
         config.nodes = 4;
         config.scheduling = scheduling;
-        return Cluster(catalog, rainbowFactory(), config).run(arrivals);
+        return runOn(config, arrivals);
     };
     const auto locality = runWith(Scheduling::LocalityAware);
     const auto rr = runWith(Scheduling::RoundRobin);
@@ -193,8 +195,7 @@ TEST_F(ClusterTest, NodeCrashesFailOverWithoutLosingWork)
     config.node.fault.nodeMtbfSeconds = 300.0; // crashes over the hour
     config.node.fault.nodeDowntimeSeconds = 20.0;
     config.node.fault.maxRetries = 8;
-    const auto result =
-        Cluster(catalog, rainbowFactory(), config).run(arrivals);
+    const auto result = runOn(config, arrivals);
     EXPECT_GT(result.nodeCrashes, 0u);
     EXPECT_GT(result.reroutedInvocations, 0u);
     // Failover conservation: re-routing shifts work between nodes but
@@ -215,9 +216,7 @@ TEST_F(ClusterTest, CrashScheduleIsIndependentOfScheduling)
         config.scheduling = scheduling;
         config.node.fault.nodeMtbfSeconds = 300.0;
         config.node.fault.nodeDowntimeSeconds = 20.0;
-        return Cluster(catalog, rainbowFactory(), config)
-            .run(arrivals)
-            .nodeCrashes;
+        return runOn(config, arrivals).nodeCrashes;
     };
     EXPECT_EQ(crashesWith(Scheduling::RoundRobin),
               crashesWith(Scheduling::LocalityAware));

@@ -112,13 +112,18 @@ TEST(ShardedCluster, ShardCountIsClampedToNodes)
     const auto catalog = workload::Catalog::standard20();
     cluster::ClusterConfig clusterConfig;
     clusterConfig.nodes = 3;
-    cluster::ShardedConfig sharded;
-    sharded.shards = 16;
-    cluster::ShardedCluster cluster(
-        catalog, [&catalog] { return core::makeRainbowCake(catalog); },
-        clusterConfig, sharded);
-    EXPECT_EQ(cluster.shardCount(), 3u);
-    EXPECT_LE(cluster.threadCount(), 3u);
+    // Requested -> effective: above the node count clamps down, zero
+    // runs as one shard.
+    const std::pair<std::size_t, std::size_t> cases[] = {{16, 3}, {0, 1}};
+    for (const auto& [requested, effective] : cases) {
+        cluster::ShardedConfig sharded;
+        sharded.shards = requested;
+        cluster::ShardedCluster cluster(
+            catalog, [&catalog] { return core::makeRainbowCake(catalog); },
+            clusterConfig, sharded);
+        EXPECT_EQ(cluster.shardCount(), effective) << requested;
+        EXPECT_LE(cluster.threadCount(), effective) << requested;
+    }
 }
 
 TEST(ShardedCluster, AlignToBarrierRoundsUpToTheGrid)

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "cluster/cluster.hh"
 #include "cluster/sharded_cluster.hh"
 #include "core/ablations.hh"
 #include "fault/fault_plan.hh"
@@ -309,7 +308,7 @@ class ClusterSpanTest : public SpanTest
 TEST_F(ClusterSpanTest, FailoverChainsRerootedInvocations)
 {
     Observer observer(spanConfig());
-    cluster::Cluster fleet(
+    cluster::ShardedCluster fleet(
         catalog, [this] { return core::makeRainbowCake(catalog); },
         crashyConfig(observer));
     const auto result = fleet.run(workload(11, 90));
@@ -344,7 +343,7 @@ TEST_F(ClusterSpanTest, FailoverChainsRerootedInvocations)
 TEST_F(ClusterSpanTest, SketchPercentilesPopulateClusterResult)
 {
     Observer observer(spanConfig());
-    cluster::Cluster fleet(
+    cluster::ShardedCluster fleet(
         catalog, [this] { return core::makeRainbowCake(catalog); },
         crashyConfig(observer));
     const auto result = fleet.run(workload(11, 60));

@@ -11,7 +11,7 @@
  * AdmissionPlan (rate limits, bounded queue, deadline shedding,
  * breakers, pressure control), picks one of the six baselines,
  * replays a generated trace on a single node and on a small cluster
- * with failover, and asserts:
+ * with failover (at --shards N shards and again at 1), and asserts:
  *
  *  * conservation — every admitted invocation either completed,
  *    exhausted its retries, was rejected or shed by admission
@@ -24,7 +24,9 @@
  *    end-of-run flush, and pool memory accounting returns to zero
  *    after crash-restart cycles;
  *  * determinism — an identical (seed, plan, policy) twin run
- *    reproduces the exact same outcome counts and latency totals.
+ *    reproduces the exact same outcome counts and latency totals, and
+ *    the cluster's report fingerprint is bit-identical at N shards and
+ *    at 1 shard.
  *
  * --overload replays a 5x-denser trace against a quarter of the
  * memory (the CI chaos job's overload-heavy configuration), forcing
@@ -33,17 +35,14 @@
  * --domains draws a randomized DomainPlan (correlated outages,
  * rolling upgrades, staged rejoin, recovery prewarms, client retry
  * feedback) on top of the fault/admission plans and replays it on the
- * sharded core at 1 and 4 shards, asserting the recovery and prewarm
+ * cluster at 1 and N shards, asserting the recovery and prewarm
  * conservation identities from cluster/conservation.hh plus the
  * byte-identical-fingerprint contract.
  *
- * --shards N additionally replays every run on the sharded parallel
- * cluster core (ShardedCluster) at N shards and again at 1 shard,
- * asserting the same conservation/breaker invariants on both plus the
- * sharded core's own contract: the report fingerprint is
- * bit-identical at any shard count. CI runs this configuration under
- * ThreadSanitizer so the worker/coordinator handshake is exercised
- * with real fault churn.
+ * --shards N (default 4) sets the shard count the default and
+ * --domains modes compare against 1 shard (--gray always uses 4). CI
+ * also runs the checks under ThreadSanitizer so the
+ * worker/coordinator handshake is exercised with real fault churn.
  *
  * Exit status 0 when every invariant holds for every run.
  */
@@ -57,7 +56,6 @@
 
 #include "admission/admission_plan.hh"
 #include "admission/circuit_breaker.hh"
-#include "cluster/cluster.hh"
 #include "cluster/conservation.hh"
 #include "cluster/sharded_cluster.hh"
 #include "exp/cluster_run.hh"
@@ -350,75 +348,33 @@ runNode(const workload::Catalog& catalog, const exp::NamedPolicy& policy,
     return outcome;
 }
 
-void
-runClusterCheck(const workload::Catalog& catalog,
-                const exp::NamedPolicy& policy,
-                const std::vector<trace::Arrival>& arrivals,
-                const platform::NodeConfig& config,
-                const std::string& label)
+/** Invoker totals the cluster checks read, summed over the nodes. */
+struct FleetTotals
 {
-    cluster::ClusterConfig clusterConfig;
-    clusterConfig.nodes = 3;
-    clusterConfig.node = config;
-    clusterConfig.node.pool.memoryBudgetMb = config.pool.memoryBudgetMb;
-    cluster::Cluster cluster(catalog, policy.make, clusterConfig);
-    const auto result = cluster.run(arrivals);
-
-    // Failover conservation: every extracted invocation was re-routed
-    // (admissions exceed arrivals by exactly the re-routed count), and
-    // each arrival still reaches exactly one terminal state.
     std::uint64_t admitted = 0;
     std::uint64_t extracted = 0;
     std::size_t inFlight = 0;
     std::size_t peakQueue = 0;
-    for (const auto& node : cluster.nodes()) {
-        admitted += node->invoker().admittedInvocations();
-        extracted += node->invoker().extractedInvocations();
-        inFlight += node->invoker().inFlightInvocations();
-        peakQueue =
-            std::max(peakQueue, node->invoker().peakQueueDepth());
-    }
-    expect(extracted == result.reroutedInvocations,
-           label + ": extracted != rerouted");
-    expect(cluster::conservation::admissionIdentity(
-               admitted, arrivals.size(), result.reroutedInvocations,
-               0, 0),
-           label + ": cluster admissions != arrivals + rerouted");
-    expect(cluster::conservation::fleetConservation(
-               result.invocations, result.failedInvocations,
-               result.strandedInvocations, extracted,
-               result.rejectedInvocations, result.shedDeadline,
-               result.shedPressure, 0, admitted),
-           label + ": cluster conservation broken");
-    expect(inFlight == 0, label + ": cluster in-flight work survived");
-    if (config.admission.maxQueueDepth > 0) {
-        expect(peakQueue <= config.admission.maxQueueDepth,
-               label + ": cluster queue depth exceeded its bound");
-    }
-
-    // Breaker histories must follow the FSM on every node.
-    for (std::size_t n = 0; n < cluster.breakers().size(); ++n) {
-        checkBreakerTransitions(cluster.breakers()[n],
-                                label + " node " + std::to_string(n));
-    }
-}
+};
 
 /**
- * Replay the run on the sharded parallel core. Beyond the serial
- * cluster's conservation and breaker invariants, the sharded core
- * promises bit-identical reports at any shard count — checked here by
- * fingerprinting the run at @p shards against a 1-shard twin.
+ * Replay the run on a @p nodes-node cluster at 1 shard and again at
+ * @p shards. Each pass must quiesce, keep every breaker history on
+ * the FSM, and pass the mode's own @p check; then the two passes'
+ * report fingerprints must be byte-identical — the cluster's
+ * shard-count contract.
  */
+template <typename Check>
 void
-runShardedClusterCheck(const workload::Catalog& catalog,
-                       const exp::NamedPolicy& policy,
-                       const std::vector<trace::Arrival>& arrivals,
-                       const platform::NodeConfig& config,
-                       std::size_t shards, const std::string& label)
+replayCluster(const workload::Catalog& catalog,
+              const exp::NamedPolicy& policy,
+              const std::vector<trace::Arrival>& arrivals,
+              const platform::NodeConfig& config, std::size_t nodes,
+              std::size_t shards, const std::string& label,
+              const Check& check)
 {
     cluster::ClusterConfig clusterConfig;
-    // Enough nodes that the requested shard count survives clamping.
-    clusterConfig.nodes = std::max<std::size_t>(4, shards);
+    clusterConfig.nodes = nodes;
     clusterConfig.node = config;
 
     std::string fingerprints[2];
@@ -429,43 +385,24 @@ runShardedClusterCheck(const workload::Catalog& catalog,
         cluster::ShardedCluster cluster(catalog, policy.make,
                                         clusterConfig, sharded);
         const auto result = cluster.run(arrivals);
-        const std::string passLabel = label + " shards=" +
-                                      std::to_string(counts[pass]);
+        const std::string passLabel =
+            label + " shards=" + std::to_string(counts[pass]);
 
-        std::uint64_t admitted = 0;
-        std::uint64_t extracted = 0;
-        std::size_t inFlight = 0;
-        std::size_t peakQueue = 0;
+        FleetTotals fleet;
         for (const auto& node : cluster.nodes()) {
-            admitted += node->invoker().admittedInvocations();
-            extracted += node->invoker().extractedInvocations();
-            inFlight += node->invoker().inFlightInvocations();
-            peakQueue =
-                std::max(peakQueue, node->invoker().peakQueueDepth());
+            fleet.admitted += node->invoker().admittedInvocations();
+            fleet.extracted += node->invoker().extractedInvocations();
+            fleet.inFlight += node->invoker().inFlightInvocations();
+            fleet.peakQueue =
+                std::max(fleet.peakQueue, node->invoker().peakQueueDepth());
         }
-        expect(extracted == result.reroutedInvocations,
-               passLabel + ": extracted != rerouted");
-        expect(cluster::conservation::admissionIdentity(
-                   admitted, arrivals.size(),
-                   result.reroutedInvocations, 0, 0),
-               passLabel + ": admissions != arrivals + rerouted");
-        expect(cluster::conservation::fleetConservation(
-                   result.invocations, result.failedInvocations,
-                   result.strandedInvocations, extracted,
-                   result.rejectedInvocations, result.shedDeadline,
-                   result.shedPressure, 0, admitted),
-               passLabel + ": conservation broken");
-        expect(inFlight == 0,
-               passLabel + ": in-flight work survived");
-        if (config.admission.maxQueueDepth > 0) {
-            expect(peakQueue <= config.admission.maxQueueDepth,
-                   passLabel + ": queue depth exceeded its bound");
-        }
+        expect(fleet.inFlight == 0, passLabel + ": in-flight work survived");
         for (std::size_t n = 0; n < cluster.breakers().size(); ++n) {
             checkBreakerTransitions(cluster.breakers()[n],
                                     passLabel + " node " +
                                         std::to_string(n));
         }
+        check(result, fleet, passLabel);
 
         std::ostringstream out;
         exp::writeClusterSummaryCsv(out, result);
@@ -473,16 +410,52 @@ runShardedClusterCheck(const workload::Catalog& catalog,
         fingerprints[pass] = out.str();
     }
     expect(fingerprints[0] == fingerprints[1],
-           label + ": sharded report diverges from the 1-shard run");
+           label + ": report diverges from the 1-shard run");
+}
+
+/**
+ * Default mode: failover conservation — every extracted invocation was
+ * re-routed (admissions exceed arrivals by exactly the re-routed
+ * count), and each arrival still reaches exactly one terminal state —
+ * plus the admission queue bound.
+ */
+void
+runShardedClusterCheck(const workload::Catalog& catalog,
+                       const exp::NamedPolicy& policy,
+                       const std::vector<trace::Arrival>& arrivals,
+                       const platform::NodeConfig& config,
+                       std::size_t shards, const std::string& label)
+{
+    // Enough nodes that the requested shard count survives clamping.
+    replayCluster(
+        catalog, policy, arrivals, config, std::max<std::size_t>(4, shards),
+        shards, label,
+        [&](const cluster::ClusterResult& result, const FleetTotals& fleet,
+            const std::string& passLabel) {
+            expect(fleet.extracted == result.reroutedInvocations,
+                   passLabel + ": extracted != rerouted");
+            expect(cluster::conservation::admissionIdentity(
+                       fleet.admitted, arrivals.size(),
+                       result.reroutedInvocations, 0, 0),
+                   passLabel + ": admissions != arrivals + rerouted");
+            expect(cluster::conservation::fleetConservation(
+                       result.invocations, result.failedInvocations,
+                       result.strandedInvocations, fleet.extracted,
+                       result.rejectedInvocations, result.shedDeadline,
+                       result.shedPressure, 0, fleet.admitted),
+                   passLabel + ": conservation broken");
+            if (config.admission.maxQueueDepth > 0) {
+                expect(fleet.peakQueue <= config.admission.maxQueueDepth,
+                       passLabel + ": queue depth exceeded its bound");
+            }
+        });
 }
 
 /**
  * Gray-failure mode: a randomized NetworkPlan (injection + hedging +
- * quarantine) on the sharded core. Beyond conservation, the ticket
- * protocol promises exact hedge-pair accounting — no attempt is lost
- * or double-counted even when partitions, degraded windows, and
- * crashes interleave — and the shard 1-vs-4 twin must stay
- * byte-identical.
+ * quarantine). Beyond conservation, the ticket protocol promises
+ * exact hedge-pair accounting — no attempt is lost or double-counted
+ * even when partitions, degraded windows, and crashes interleave.
  */
 void
 runGrayClusterCheck(const workload::Catalog& catalog,
@@ -491,82 +464,55 @@ runGrayClusterCheck(const workload::Catalog& catalog,
                     const platform::NodeConfig& config,
                     const std::string& label)
 {
-    cluster::ClusterConfig clusterConfig;
-    clusterConfig.nodes = 8;
-    clusterConfig.node = config;
-
-    std::string fingerprints[2];
-    const std::size_t counts[2] = {1, 4};
-    for (std::size_t pass = 0; pass < 2; ++pass) {
-        cluster::ShardedConfig sharded;
-        sharded.shards = counts[pass];
-        cluster::ShardedCluster cluster(catalog, policy.make,
-                                        clusterConfig, sharded);
-        const auto result = cluster.run(arrivals);
-        const std::string passLabel =
-            label + " shards=" + std::to_string(counts[pass]);
-
-        std::uint64_t admitted = 0;
-        std::uint64_t extracted = 0;
-        std::size_t inFlight = 0;
-        for (const auto& node : cluster.nodes()) {
-            admitted += node->invoker().admittedInvocations();
-            extracted += node->invoker().extractedInvocations();
-            inFlight += node->invoker().inFlightInvocations();
-        }
-        // Every dispatch — primary, failover re-issue, or hedge — is
-        // delivered and admitted exactly once; messages delay, they
-        // never vanish.
-        expect(cluster::conservation::admissionIdentity(
-                   admitted, arrivals.size(),
-                   result.reroutedInvocations, result.hedgesLaunched,
-                   result.retriesFeedback),
-               passLabel + ": admissions != arrivals + rerouted + "
-                           "hedges");
-        // Conservation under partitions: every admitted attempt
-        // terminates exactly one way. Duplicate completions of a
-        // hedge pair both count as completions, so they need no term.
-        expect(cluster::conservation::fleetConservation(
-                   result.invocations, result.failedInvocations,
-                   result.strandedInvocations, extracted,
-                   result.rejectedInvocations, result.shedDeadline,
-                   result.shedPressure, result.cancelledInvocations,
-                   admitted),
-               passLabel + ": gray conservation broken");
-        // Hedge pairs settle exactly once: won, cancelled, or lost.
-        expect(cluster::conservation::hedgeIdentity(
-                   result.hedgesLaunched, result.hedgesWon,
-                   result.hedgesCancelled, result.hedgesLost),
-               passLabel + ": hedge pair double-counted or lost");
-        expect(result.duplicateCompletions <= result.hedgesLaunched,
-               passLabel + ": more duplicates than hedges");
-        expect(result.wastedExecSeconds <=
-                   result.totalExecSeconds + 1e-9,
-               passLabel + ": wasted work exceeds total work");
-        // A quarantined node may only receive probes (or serve as the
-        // route of last resort when no healthy node remains).
-        expect(result.quarantineViolations == 0,
-               passLabel + ": quarantined node took a primary "
-                           "dispatch");
-        expect(inFlight == 0, passLabel + ": in-flight work survived");
-
-        std::ostringstream out;
-        exp::writeClusterSummaryCsv(out, result);
-        exp::writeClusterPerNodeCsv(out, result);
-        fingerprints[pass] = out.str();
-    }
-    expect(fingerprints[0] == fingerprints[1],
-           label + ": gray report diverges from the 1-shard run");
+    replayCluster(
+        catalog, policy, arrivals, config, 8, 4, label,
+        [&](const cluster::ClusterResult& result, const FleetTotals& fleet,
+            const std::string& passLabel) {
+            // Every dispatch — primary, failover re-issue, or hedge — is
+            // delivered and admitted exactly once; messages delay, they
+            // never vanish.
+            expect(cluster::conservation::admissionIdentity(
+                       fleet.admitted, arrivals.size(),
+                       result.reroutedInvocations, result.hedgesLaunched,
+                       result.retriesFeedback),
+                   passLabel + ": admissions != arrivals + rerouted + "
+                               "hedges");
+            // Conservation under partitions: every admitted attempt
+            // terminates exactly one way. Duplicate completions of a
+            // hedge pair both count as completions, so they need no
+            // term.
+            expect(cluster::conservation::fleetConservation(
+                       result.invocations, result.failedInvocations,
+                       result.strandedInvocations, fleet.extracted,
+                       result.rejectedInvocations, result.shedDeadline,
+                       result.shedPressure, result.cancelledInvocations,
+                       fleet.admitted),
+                   passLabel + ": gray conservation broken");
+            // Hedge pairs settle exactly once: won, cancelled, or lost.
+            expect(cluster::conservation::hedgeIdentity(
+                       result.hedgesLaunched, result.hedgesWon,
+                       result.hedgesCancelled, result.hedgesLost),
+                   passLabel + ": hedge pair double-counted or lost");
+            expect(result.duplicateCompletions <= result.hedgesLaunched,
+                   passLabel + ": more duplicates than hedges");
+            expect(result.wastedExecSeconds <=
+                       result.totalExecSeconds + 1e-9,
+                   passLabel + ": wasted work exceeds total work");
+            // A quarantined node may only receive probes (or serve as
+            // the route of last resort when no healthy node remains).
+            expect(result.quarantineViolations == 0,
+                   passLabel + ": quarantined node took a primary "
+                               "dispatch");
+        });
 }
 
 /**
  * Correlated-domain mode: a randomized DomainPlan (outage waves,
- * rolling upgrades, staged rejoin, recovery prewarms, retry feedback)
- * on the sharded core. Beyond fleet conservation, the recovery
- * orchestrator promises exact episode accounting — every outaged or
- * drained node rejoins exactly once, every drain terminates, every
- * prewarm settles — and the shard 1-vs-4 twin must stay
- * byte-identical even though recovery decisions are made at barriers.
+ * rolling upgrades, staged rejoin, recovery prewarms, retry feedback).
+ * Beyond fleet conservation, the recovery orchestrator promises exact
+ * episode accounting — every outaged or drained node rejoins exactly
+ * once, every drain terminates, every prewarm settles — even though
+ * recovery decisions are made at barriers.
  */
 void
 runDomainClusterCheck(const workload::Catalog& catalog,
@@ -575,74 +521,42 @@ runDomainClusterCheck(const workload::Catalog& catalog,
                       const platform::NodeConfig& config,
                       std::size_t shards, const std::string& label)
 {
-    cluster::ClusterConfig clusterConfig;
-    clusterConfig.nodes = 8;
-    clusterConfig.node = config;
-
-    std::string fingerprints[2];
-    const std::size_t counts[2] = {1, std::max<std::size_t>(2, shards)};
-    for (std::size_t pass = 0; pass < 2; ++pass) {
-        cluster::ShardedConfig sharded;
-        sharded.shards = counts[pass];
-        cluster::ShardedCluster cluster(catalog, policy.make,
-                                        clusterConfig, sharded);
-        const auto result = cluster.run(arrivals);
-        const std::string passLabel =
-            label + " shards=" + std::to_string(counts[pass]);
-
-        std::uint64_t admitted = 0;
-        std::uint64_t extracted = 0;
-        std::size_t inFlight = 0;
-        for (const auto& node : cluster.nodes()) {
-            admitted += node->invoker().admittedInvocations();
-            extracted += node->invoker().extractedInvocations();
-            inFlight += node->invoker().inFlightInvocations();
-        }
-        // Every admission has exactly one source: an arrival, a crash
-        // re-route, or a client feedback retry (no hedging without a
-        // network plan).
-        expect(cluster::conservation::admissionIdentity(
-                   admitted, arrivals.size(),
-                   result.reroutedInvocations, result.hedgesLaunched,
-                   result.retriesFeedback),
-               passLabel + ": admissions != arrivals + rerouted + "
-                           "retries");
-        expect(cluster::conservation::fleetConservation(
-                   result.invocations, result.failedInvocations,
-                   result.strandedInvocations, extracted,
-                   result.rejectedInvocations, result.shedDeadline,
-                   result.shedPressure, result.cancelledInvocations,
-                   admitted),
-               passLabel + ": domain conservation broken");
-        // Recovery accounting: every episode the orchestrator started
-        // finished exactly once, and every planned drain terminated
-        // gracefully or by the timeout kill.
-        expect(cluster::conservation::recoveryIdentity(
-                   result.recoveredNodes, result.outageNodeEpisodes,
-                   result.upgradeEpisodes, result.nodesDrained,
-                   result.nodesKilled),
-               passLabel + ": recovery identity broken");
-        expect(cluster::conservation::prewarmIdentity(
-                   result.prewarmLayers, result.prewarmHit,
-                   result.prewarmEvicted, result.prewarmWasted),
-               passLabel + ": prewarm identity broken");
-        expect(result.rejoinWaitSeconds >= 0.0,
-               passLabel + ": negative rejoin wait");
-        expect(inFlight == 0, passLabel + ": in-flight work survived");
-
-        for (std::size_t n = 0; n < cluster.breakers().size(); ++n) {
-            checkBreakerTransitions(cluster.breakers()[n],
-                                    passLabel + " node " +
-                                        std::to_string(n));
-        }
-
-        std::ostringstream out;
-        exp::writeClusterSummaryCsv(out, result);
-        exp::writeClusterPerNodeCsv(out, result);
-        fingerprints[pass] = out.str();
-    }
-    expect(fingerprints[0] == fingerprints[1],
-           label + ": domain report diverges from the 1-shard run");
+    replayCluster(
+        catalog, policy, arrivals, config, 8,
+        std::max<std::size_t>(2, shards), label,
+        [&](const cluster::ClusterResult& result, const FleetTotals& fleet,
+            const std::string& passLabel) {
+            // Every admission has exactly one source: an arrival, a
+            // crash re-route, or a client feedback retry (no hedging
+            // without a network plan).
+            expect(cluster::conservation::admissionIdentity(
+                       fleet.admitted, arrivals.size(),
+                       result.reroutedInvocations, result.hedgesLaunched,
+                       result.retriesFeedback),
+                   passLabel + ": admissions != arrivals + rerouted + "
+                               "retries");
+            expect(cluster::conservation::fleetConservation(
+                       result.invocations, result.failedInvocations,
+                       result.strandedInvocations, fleet.extracted,
+                       result.rejectedInvocations, result.shedDeadline,
+                       result.shedPressure, result.cancelledInvocations,
+                       fleet.admitted),
+                   passLabel + ": domain conservation broken");
+            // Recovery accounting: every episode the orchestrator
+            // started finished exactly once, and every planned drain
+            // terminated gracefully or by the timeout kill.
+            expect(cluster::conservation::recoveryIdentity(
+                       result.recoveredNodes, result.outageNodeEpisodes,
+                       result.upgradeEpisodes, result.nodesDrained,
+                       result.nodesKilled),
+                   passLabel + ": recovery identity broken");
+            expect(cluster::conservation::prewarmIdentity(
+                       result.prewarmLayers, result.prewarmHit,
+                       result.prewarmEvicted, result.prewarmWasted),
+                   passLabel + ": prewarm identity broken");
+            expect(result.rejoinWaitSeconds >= 0.0,
+                   passLabel + ": negative rejoin wait");
+        });
 }
 
 [[noreturn]] void
@@ -661,7 +575,7 @@ main(int argc, char** argv)
     std::uint64_t seed = 1;
     std::size_t runs = 4;
     std::size_t minutes = 20;
-    std::size_t shards = 0;
+    std::size_t shards = 4;
     bool overload = false;
     bool gray = false;
     bool domains = false;
@@ -694,6 +608,10 @@ main(int argc, char** argv)
             minutes = std::stoul(value);
         } else if (arg == "--shards") {
             shards = std::stoul(value);
+            if (shards == 0) {
+                std::cerr << "--shards must be at least 1\n";
+                usage(2);
+            }
         } else {
             std::cerr << "unknown option " << arg << "\n";
             usage(2);
@@ -757,19 +675,16 @@ main(int argc, char** argv)
                   << arrivals.size() << " arrivals)\n";
 
         if (domains) {
-            // Domain mode exercises the recovery orchestrator on the
-            // sharded core only — the serial cores have no
-            // coordinator to host it.
+            // Domain mode exercises the recovery orchestrator, which
+            // lives in the cluster coordinator.
             runDomainClusterCheck(catalog, policy, arrivals, config,
-                                  shards == 0 ? 4 : shards,
-                                  label + " domains");
+                                  shards, label + " domains");
             continue;
         }
 
         if (gray) {
-            // Gray mode exercises the network plan on the sharded
-            // core only — the serial node/cluster cores do not speak
-            // the ticket protocol.
+            // Gray mode exercises the network plan on the cluster
+            // only — a lone node does not speak the ticket protocol.
             runGrayClusterCheck(catalog, policy, arrivals, config,
                                 label + " gray");
             continue;
@@ -788,12 +703,8 @@ main(int argc, char** argv)
                   << first.shedDeadline + first.shedPressure
                   << ", peak queue " << first.peakQueueDepth << "\n";
 
-        runClusterCheck(catalog, policy, arrivals, config,
-                        label + " cluster");
-        if (shards > 0) {
-            runShardedClusterCheck(catalog, policy, arrivals, config,
-                                   shards, label + " sharded");
-        }
+        runShardedClusterCheck(catalog, policy, arrivals, config, shards,
+                               label + " cluster");
     }
 
     if (gFailures == 0) {

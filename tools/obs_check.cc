@@ -37,11 +37,13 @@
  *    than RainbowCake without it, and every admission-controlled row
  *    kept its queue within the configured bound.
  *  * fleet: parses the cluster_summary.csv a `rainbow_sim --nodes N
- *    [--shards S]` run writes and asserts fleet-level invocation
- *    conservation — every admitted invocation reached exactly one
+ *    [--shards S]` run writes — every column of the writer's table
+ *    (exp::clusterSummaryColumns) must be present and every count an
+ *    unsigned integer — and asserts fleet-level invocation
+ *    conservation: every admitted invocation reached exactly one
  *    terminal state (completed + failed + stranded + rerouted +
  *    rejected + shed_deadline + shed_pressure == admitted). CI runs
- *    this against sharded-core output so a counter-merge bug at the
+ *    this against multi-shard output so a counter-merge bug at the
  *    barrier cannot land silently. The recovery and prewarm
  *    identities from cluster/conservation.hh are checked too: every
  *    outage/upgrade episode rejoins exactly once and every recovery
@@ -53,6 +55,8 @@
  * Exit status 0 when every requested check passes, 1 otherwise.
  */
 
+#include <charconv>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -60,11 +64,13 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include <cmath>
 
 #include "cluster/conservation.hh"
+#include "exp/cluster_run.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
 #include "obs/span.hh"
@@ -610,6 +616,15 @@ splitCsv(const std::string& line)
     return cells;
 }
 
+/** Parse all of @p text as an unsigned decimal count. */
+bool
+parseCount(const std::string& text, std::uint64_t& value)
+{
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    return error == std::errc() && stop == end;
+}
+
 /**
  * Validate the coordinator_phases.csv sidecar: subsets must not
  * exceed their total, the serial fraction must be a valid ratio, and
@@ -702,26 +717,20 @@ checkFleetSummary(const std::string& path)
     for (std::size_t i = 0; i < names.size(); ++i)
         columns[names[i]] = cells[i];
 
-    std::map<std::string, unsigned long long> counters;
-    for (const char* key :
-         {"nodes", "windows", "invocations", "stranded", "rerouted",
-          "failed", "rejected", "shed_deadline", "shed_pressure",
-          "admitted", "engine_events", "cancelled", "hedges_launched",
-          "hedges_won", "hedges_cancelled", "hedges_lost", "duplicates",
-          "quarantines", "probes", "partitions", "msgs_delayed",
-          "msgs_dropped", "domain_outages", "outage_episodes",
-          "upgrade_episodes", "nodes_drained", "nodes_killed",
-          "recovered_nodes", "prewarm_layers", "prewarm_hit",
-          "prewarm_evicted", "prewarm_wasted", "retries_feedback"}) {
-        const auto it = columns.find(key);
+    // The writer's column table names every column and types its
+    // counts: each std::uint64_t column must hold an unsigned integer.
+    std::map<std::string, std::uint64_t> counters;
+    for (const exp::SummaryColumn& column :
+         exp::clusterSummaryColumns(cluster::ClusterResult{})) {
+        const std::string name = column.name;
+        const auto it = columns.find(name);
         if (it == columns.end()) {
-            fail(path + ": summary lacks column " + key);
+            fail(path + ": summary lacks column " + name);
             return;
         }
-        try {
-            counters[key] = std::stoull(it->second);
-        } catch (const std::exception&) {
-            fail(path + ": column " + key + " is not a count: " +
+        if (std::holds_alternative<std::uint64_t>(column.value) &&
+            !parseCount(it->second, counters[name])) {
+            fail(path + ": column " + name + " is not a count: " +
                  it->second);
             return;
         }

@@ -14,12 +14,14 @@
  *   rainbow_sim --all --timelines                 # all six baselines
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -76,7 +78,7 @@ struct Options
     std::string domainPlan;    // non-empty: load a domain plan file
     double obsIntervalSeconds = 60.0; // counter snapshot interval
     std::size_t nodes = 0;     // > 0: cluster mode
-    std::size_t shards = 0;    // > 0: sharded parallel cluster core
+    std::optional<std::size_t> shards; // cluster mode; unset: 1
     bool stream = false;       // cluster mode: pull-based arrivals
     bool phaseTimings = false; // cluster mode: coordinator breakdown
     std::string scheduling = "locality-aware"; // cluster routing
@@ -128,13 +130,13 @@ usage(int code)
         "                    (default 60)\n"
         "  --nodes N         cluster mode: route the trace across N\n"
         "                    worker nodes (budget-gb is per node)\n"
-        "  --shards N        cluster mode: step nodes in N parallel\n"
-        "                    shards (results are bit-identical at any\n"
-        "                    N >= 1; 0 = legacy serial core)\n"
+        "  --shards N        cluster mode: step nodes in N >= 1 parallel\n"
+        "                    shards (default 1; results are\n"
+        "                    bit-identical at any N)\n"
         "  --stream          cluster mode: pull arrivals from the\n"
         "                    trace lazily instead of materializing\n"
         "                    them (O(window) memory, bit-identical\n"
-        "                    results; always uses the sharded core)\n"
+        "                    results)\n"
         "  --phase-timings   cluster mode: measure the coordinator\n"
         "                    wall-clock breakdown and, with --csv-dir,\n"
         "                    write coordinator_phases.csv (the numbers\n"
@@ -222,6 +224,10 @@ parseArgs(int argc, char** argv)
             } else if (arg == "--shards") {
                 options.shards = static_cast<std::size_t>(
                     std::stoul(need(i)));
+                if (*options.shards == 0) {
+                    std::cerr << "--shards must be at least 1\n";
+                    usage(2);
+                }
             } else if (arg == "--stream") {
                 options.stream = true;
             } else if (arg == "--phase-timings") {
@@ -279,12 +285,12 @@ runClusterMode(const Options& options, const workload::Catalog& catalog,
     exp::ClusterRunConfig config;
     config.nodes = options.nodes;
     config.scheduling = parseScheduling(options.scheduling);
-    config.shards = options.shards;
+    config.shards = options.shards.value_or(1);
     config.threads = options.threads;
 
     // The cluster harness keeps this observer for routing events and
     // for the merged per-node span buffers (the nodes themselves run
-    // uninstrumented; see Cluster's ctor).
+    // uninstrumented; see ShardedCluster's ctor).
     std::unique_ptr<obs::Observer> observer;
     if (options.observabilityEnabled()) {
         observer = std::make_unique<obs::Observer>(
@@ -308,11 +314,9 @@ runClusterMode(const Options& options, const workload::Catalog& catalog,
     }
 
     std::cout << "cluster: " << options.nodes << " nodes, "
-              << result.schedulingName << " routing";
-    if (options.shards > 0)
-        std::cout << ", " << options.shards << " shards ("
-                  << result.windows << " windows)";
-    std::cout << "\n"
+              << result.schedulingName << " routing, "
+              << std::min(config.shards, options.nodes) << " shards ("
+              << result.windows << " windows)\n"
               << "  invocations " << result.invocations << " (cold "
               << result.coldStarts << ", mean startup "
               << result.meanStartupSeconds << " s)\n"
@@ -570,7 +574,7 @@ int
 main(int argc, char** argv)
 {
     const Options options = parseArgs(argc, argv);
-    if (options.shards > 0 && options.nodes == 0) {
+    if (options.shards && options.nodes == 0) {
         std::cerr << "--shards requires --nodes\n";
         return 2;
     }
