@@ -95,7 +95,7 @@ main(int argc, char** argv)
             for (const auto& policy : baselines) {
                 platform::NodeConfig config;
                 config.fault = planFor(rate, mtbf);
-                specs.push_back({&catalog, policy.make, &arrivals, config});
+                specs.push_back({&catalog, policy.make, &arrivals, config, {}});
             }
         }
     }

@@ -45,7 +45,7 @@ main()
         for (const double gb : budgetsGb) {
             platform::NodeConfig config;
             config.pool.memoryBudgetMb = gb * 1024.0;
-            specs.push_back({&catalog, policy.make, &arrivals, config});
+            specs.push_back({&catalog, policy.make, &arrivals, config, {}});
         }
     }
     const auto results = exp::ParallelRunner().run(specs);

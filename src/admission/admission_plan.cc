@@ -1,9 +1,5 @@
 #include "admission/admission_plan.hh"
 
-#include <cmath>
-#include <fstream>
-#include <sstream>
-
 #include "obs/json.hh"
 
 namespace rc::admission {
@@ -16,60 +12,6 @@ AdmissionPlan::active() const
            breakerFailureThreshold > 0.0 || pressureControlEnabled;
 }
 
-namespace {
-
-/** One knob of the flat JSON schema. */
-struct Knob
-{
-    const char* key;
-    enum class Kind : std::uint8_t { Frac, Seconds, Count, Flag };
-    Kind kind;
-    void* target;
-};
-
-bool
-applyKnob(const Knob& knob, const obs::JsonValue& value,
-          std::string* error)
-{
-    const auto fail = [&](const std::string& what) {
-        if (error != nullptr)
-            *error = std::string(knob.key) + ": " + what;
-        return false;
-    };
-    if (knob.kind == Knob::Kind::Flag) {
-        if (value.kind != obs::JsonValue::Kind::Bool)
-            return fail("expected a boolean");
-        *static_cast<bool*>(knob.target) = value.boolean;
-        return true;
-    }
-    if (!value.isNumber())
-        return fail("expected a number");
-    const double v = value.number;
-    switch (knob.kind) {
-      case Knob::Kind::Frac:
-        if (v < 0.0 || v > 1.0)
-            return fail("must be in [0, 1]");
-        *static_cast<double*>(knob.target) = v;
-        return true;
-      case Knob::Kind::Seconds:
-        if (v < 0.0)
-            return fail("must be non-negative");
-        *static_cast<double*>(knob.target) = v;
-        return true;
-      case Knob::Kind::Count:
-        if (v < 0.0 || v != std::floor(v))
-            return fail("must be a non-negative integer");
-        *static_cast<std::uint32_t*>(knob.target) =
-            static_cast<std::uint32_t>(v);
-        return true;
-      case Knob::Kind::Flag:
-        break;
-    }
-    return fail("bad knob kind");
-}
-
-} // namespace
-
 bool
 parseAdmissionPlan(const std::string& text, AdmissionPlan& out,
                    std::string* error)
@@ -77,71 +19,53 @@ parseAdmissionPlan(const std::string& text, AdmissionPlan& out,
     obs::JsonValue root;
     if (!obs::parseJson(text, root, error))
         return false;
-    if (!root.isObject()) {
-        if (error != nullptr)
-            *error = "admission plan must be a JSON object";
-        return false;
-    }
 
+    using Kind = obs::JsonKnob::Kind;
     AdmissionPlan plan;
-    const Knob knobs[] = {
-        {"function_rate_per_second", Knob::Kind::Seconds,
+    const obs::JsonKnob knobs[] = {
+        {"function_rate_per_second", Kind::NonNegative,
          &plan.functionRatePerSecond},
-        {"token_bucket_burst", Knob::Kind::Seconds,
+        {"token_bucket_burst", Kind::NonNegative,
          &plan.tokenBucketBurst},
-        {"function_concurrency_cap", Knob::Kind::Count,
+        {"function_concurrency_cap", Kind::Count,
          &plan.functionConcurrencyCap},
-        {"max_queue_depth", Knob::Kind::Count, &plan.maxQueueDepth},
-        {"queue_deadline_seconds", Knob::Kind::Seconds,
+        {"max_queue_depth", Kind::Count, &plan.maxQueueDepth},
+        {"queue_deadline_seconds", Kind::NonNegative,
          &plan.queueDeadlineSeconds},
-        {"breaker_failure_threshold", Knob::Kind::Frac,
+        {"breaker_failure_threshold", Kind::Fraction,
          &plan.breakerFailureThreshold},
-        {"breaker_window_seconds", Knob::Kind::Seconds,
+        {"breaker_window_seconds", Kind::NonNegative,
          &plan.breakerWindowSeconds},
-        {"breaker_cooloff_seconds", Knob::Kind::Seconds,
+        {"breaker_cooloff_seconds", Kind::NonNegative,
          &plan.breakerCooloffSeconds},
-        {"breaker_min_samples", Knob::Kind::Count,
+        {"breaker_min_samples", Kind::Count,
          &plan.breakerMinSamples},
-        {"pressure_control_enabled", Knob::Kind::Flag,
+        {"pressure_control_enabled", Kind::Flag,
          &plan.pressureControlEnabled},
-        {"controller_interval_seconds", Knob::Kind::Seconds,
+        {"controller_interval_seconds", Kind::NonNegative,
          &plan.controllerIntervalSeconds},
-        {"pressure_smoothing", Knob::Kind::Frac,
+        {"pressure_smoothing", Kind::Fraction,
          &plan.pressureSmoothing},
-        {"pressure_warn", Knob::Kind::Frac, &plan.pressureWarn},
-        {"pressure_high", Knob::Kind::Frac, &plan.pressureHigh},
-        {"pressure_critical", Knob::Kind::Frac, &plan.pressureCritical},
-        {"pressure_hysteresis", Knob::Kind::Frac,
+        {"pressure_warn", Kind::Fraction, &plan.pressureWarn},
+        {"pressure_high", Kind::Fraction, &plan.pressureHigh},
+        {"pressure_critical", Kind::Fraction, &plan.pressureCritical},
+        {"pressure_hysteresis", Kind::Fraction,
          &plan.pressureHysteresis},
-        {"ttl_shrink_factor", Knob::Kind::Frac, &plan.ttlShrinkFactor},
-        {"overload_pressure_bias", Knob::Kind::Seconds,
+        {"ttl_shrink_factor", Kind::Fraction, &plan.ttlShrinkFactor},
+        {"overload_pressure_bias", Kind::NonNegative,
          &plan.overloadPressureBias},
-        {"pressure_memory_weight", Knob::Kind::Frac,
+        {"pressure_memory_weight", Kind::Fraction,
          &plan.pressureMemoryWeight},
-        {"pressure_queue_weight", Knob::Kind::Frac,
+        {"pressure_queue_weight", Kind::Fraction,
          &plan.pressureQueueWeight},
-        {"pressure_shed_weight", Knob::Kind::Frac,
+        {"pressure_shed_weight", Kind::Fraction,
          &plan.pressureShedWeight},
-        {"queue_depth_scale", Knob::Kind::Seconds,
+        {"queue_depth_scale", Kind::NonNegative,
          &plan.queueDepthScale},
     };
 
-    for (const auto& [key, value] : root.object) {
-        bool known = false;
-        for (const Knob& knob : knobs) {
-            if (key == knob.key) {
-                known = true;
-                if (!applyKnob(knob, value, error))
-                    return false;
-                break;
-            }
-        }
-        if (!known) {
-            if (error != nullptr)
-                *error = "unknown admission-plan key '" + key + "'";
-            return false;
-        }
-    }
+    if (!obs::readJsonKnobs(root, knobs, "admission plan", error))
+        return false;
     const auto reject = [&](const char* what) {
         if (error != nullptr)
             *error = what;
@@ -178,15 +102,9 @@ bool
 loadAdmissionPlanFile(const std::string& path, AdmissionPlan& out,
                       std::string* error)
 {
-    std::ifstream in(path);
-    if (!in) {
-        if (error != nullptr)
-            *error = "cannot open " + path;
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return parseAdmissionPlan(buffer.str(), out, error);
+    std::string text;
+    return obs::readTextFile(path, text, error) &&
+           parseAdmissionPlan(text, out, error);
 }
 
 } // namespace rc::admission

@@ -93,7 +93,7 @@ specsForPolicies(const workload::Catalog& catalog,
     std::vector<RunSpec> specs;
     specs.reserve(policies.size());
     for (const auto& policy : policies)
-        specs.push_back(RunSpec{&catalog, policy.make, &arrivals, config});
+        specs.push_back(RunSpec{&catalog, policy.make, &arrivals, config, {}});
     return specs;
 }
 

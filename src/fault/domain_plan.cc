@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "obs/json.hh"
 
@@ -155,42 +153,6 @@ fail(std::string* error, const std::string& what)
 }
 
 bool
-readNumber(const obs::JsonValue& value, const char* key, double& out,
-           std::string* error)
-{
-    if (!value.isNumber())
-        return fail(error, std::string(key) + ": expected a number");
-    if (value.number < 0.0)
-        return fail(error,
-                    std::string(key) + ": must be non-negative");
-    out = value.number;
-    return true;
-}
-
-bool
-readCount(const obs::JsonValue& value, const char* key,
-          std::uint32_t& out, std::string* error)
-{
-    if (!value.isNumber() || value.number < 0.0 ||
-        value.number != std::floor(value.number)) {
-        return fail(error, std::string(key) +
-                               ": must be a non-negative integer");
-    }
-    out = static_cast<std::uint32_t>(value.number);
-    return true;
-}
-
-bool
-readFlag(const obs::JsonValue& value, const char* key, bool& out,
-         std::string* error)
-{
-    if (value.kind != obs::JsonValue::Kind::Bool)
-        return fail(error, std::string(key) + ": expected a boolean");
-    out = value.boolean;
-    return true;
-}
-
-bool
 parseDomainsArray(const obs::JsonValue& value, DomainPlan& plan,
                   std::string* error)
 {
@@ -224,30 +186,21 @@ parseOutagesArray(const obs::JsonValue& value, DomainPlan& plan,
     for (const auto& entry : value.array) {
         if (!entry.isObject())
             return fail(error, "outages: expected an array of objects");
+        using Kind = obs::JsonKnob::Kind;
         ScriptedOutage outage;
-        bool sawStart = false;
-        bool sawDuration = false;
-        for (const auto& [key, v] : entry.object) {
-            if (key == "start_seconds") {
-                if (!readNumber(v, "outages.start_seconds",
-                                outage.startSeconds, error))
-                    return false;
-                sawStart = true;
-            } else if (key == "duration_seconds") {
-                if (!readNumber(v, "outages.duration_seconds",
-                                outage.durationSeconds, error))
-                    return false;
-                sawDuration = true;
-            } else if (key == "domain") {
-                if (!readCount(v, "outages.domain", outage.domain,
-                               error))
-                    return false;
-            } else {
-                return fail(error,
-                            "outages: unknown key '" + key + "'");
-            }
+        const obs::JsonKnob knobs[] = {
+            {"start_seconds", Kind::NonNegative, &outage.startSeconds},
+            {"duration_seconds", Kind::NonNegative,
+             &outage.durationSeconds},
+            {"domain", Kind::Count, &outage.domain},
+        };
+        if (!obs::readJsonKnobs(entry, knobs, "outage", error)) {
+            if (error != nullptr)
+                *error = "outages: " + *error;
+            return false;
         }
-        if (!sawStart || !sawDuration) {
+        if (entry.find("start_seconds") == nullptr ||
+            entry.find("duration_seconds") == nullptr) {
             return fail(error, "outages: each window needs "
                                "start_seconds and duration_seconds");
         }
@@ -297,60 +250,45 @@ parseDomainPlan(const std::string& text, DomainPlan& out,
     if (!root.isObject())
         return fail(error, "domain plan must be a JSON object");
 
+    using Kind = obs::JsonKnob::Kind;
     DomainPlan plan;
+    const obs::JsonKnob knobs[] = {
+        {"domain_count", Kind::Count, &plan.domainCount},
+        {"outage_rate_per_hour", Kind::NonNegative,
+         &plan.outageRatePerHour},
+        {"outage_duration_seconds", Kind::NonNegative,
+         &plan.outageDurationSeconds},
+        {"upgrade_rate_per_hour", Kind::NonNegative,
+         &plan.upgradeRatePerHour},
+        {"upgrade_duration_seconds", Kind::NonNegative,
+         &plan.upgradeDurationSeconds},
+        {"upgrade_stagger_seconds", Kind::NonNegative,
+         &plan.upgradeStaggerSeconds},
+        {"drain_timeout_seconds", Kind::NonNegative,
+         &plan.drainTimeoutSeconds},
+        {"staged_rejoin", Kind::Flag, &plan.stagedRejoin},
+        {"rejoin_tokens_per_second", Kind::NonNegative,
+         &plan.rejoinTokensPerSecond},
+        {"prewarm_enabled", Kind::Flag, &plan.prewarmEnabled},
+        {"prewarm_max_layers", Kind::Count, &plan.prewarmMaxLayers},
+        {"warmup_timeout_seconds", Kind::NonNegative,
+         &plan.warmupTimeoutSeconds},
+        {"retry_feedback_enabled", Kind::Flag,
+         &plan.retryFeedbackEnabled},
+        {"retry_backoff_seconds", Kind::NonNegative,
+         &plan.retryBackoffSeconds},
+        {"retry_max_attempts", Kind::Count, &plan.retryMaxAttempts},
+    };
     for (const auto& [key, value] : root.object) {
-        bool ok = true;
-        if (key == "domain_count")
-            ok = readCount(value, "domain_count", plan.domainCount,
-                           error);
-        else if (key == "outage_rate_per_hour")
-            ok = readNumber(value, "outage_rate_per_hour",
-                            plan.outageRatePerHour, error);
-        else if (key == "outage_duration_seconds")
-            ok = readNumber(value, "outage_duration_seconds",
-                            plan.outageDurationSeconds, error);
-        else if (key == "upgrade_rate_per_hour")
-            ok = readNumber(value, "upgrade_rate_per_hour",
-                            plan.upgradeRatePerHour, error);
-        else if (key == "upgrade_duration_seconds")
-            ok = readNumber(value, "upgrade_duration_seconds",
-                            plan.upgradeDurationSeconds, error);
-        else if (key == "upgrade_stagger_seconds")
-            ok = readNumber(value, "upgrade_stagger_seconds",
-                            plan.upgradeStaggerSeconds, error);
-        else if (key == "drain_timeout_seconds")
-            ok = readNumber(value, "drain_timeout_seconds",
-                            plan.drainTimeoutSeconds, error);
-        else if (key == "staged_rejoin")
-            ok = readFlag(value, "staged_rejoin", plan.stagedRejoin,
-                          error);
-        else if (key == "rejoin_tokens_per_second")
-            ok = readNumber(value, "rejoin_tokens_per_second",
-                            plan.rejoinTokensPerSecond, error);
-        else if (key == "prewarm_enabled")
-            ok = readFlag(value, "prewarm_enabled", plan.prewarmEnabled,
-                          error);
-        else if (key == "prewarm_max_layers")
-            ok = readCount(value, "prewarm_max_layers",
-                           plan.prewarmMaxLayers, error);
-        else if (key == "warmup_timeout_seconds")
-            ok = readNumber(value, "warmup_timeout_seconds",
-                            plan.warmupTimeoutSeconds, error);
-        else if (key == "retry_feedback_enabled")
-            ok = readFlag(value, "retry_feedback_enabled",
-                          plan.retryFeedbackEnabled, error);
-        else if (key == "retry_backoff_seconds")
-            ok = readNumber(value, "retry_backoff_seconds",
-                            plan.retryBackoffSeconds, error);
-        else if (key == "retry_max_attempts")
-            ok = readCount(value, "retry_max_attempts",
-                           plan.retryMaxAttempts, error);
-        else if (key == "domains")
+        // The two nested arrays are hand-parsed; every flat member
+        // goes through the knob table.
+        bool ok;
+        if (key == "domains")
             ok = parseDomainsArray(value, plan, error);
         else if (key == "outages")
             ok = parseOutagesArray(value, plan, error);
         else
-            ok = fail(error, "unknown domain-plan key '" + key + "'");
+            ok = obs::readJsonKnob(knobs, key, value, "domain plan", error);
         if (!ok)
             return false;
     }
@@ -372,12 +310,9 @@ bool
 loadDomainPlanFile(const std::string& path, DomainPlan& out,
                    std::string* error)
 {
-    std::ifstream in(path);
-    if (!in)
-        return fail(error, "cannot open " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return parseDomainPlan(buffer.str(), out, error);
+    std::string text;
+    return obs::readTextFile(path, text, error) &&
+           parseDomainPlan(text, out, error);
 }
 
 bool

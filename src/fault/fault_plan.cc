@@ -1,9 +1,5 @@
 #include "fault/fault_plan.hh"
 
-#include <cmath>
-#include <fstream>
-#include <sstream>
-
 #include "obs/json.hh"
 
 namespace rc::fault {
@@ -17,182 +13,102 @@ FaultPlan::active() const
            overloadRatePerHour > 0.0;
 }
 
-namespace {
-
-/** One knob of the flat JSON schema. */
-struct Knob
-{
-    const char* key;
-    enum class Kind : std::uint8_t { Prob, Seconds, Tick, Count, Flag };
-    Kind kind;
-    void* target;
-};
-
-bool
-applyKnob(const Knob& knob, const obs::JsonValue& value,
-          std::string* error)
-{
-    const auto fail = [&](const std::string& what) {
-        if (error != nullptr)
-            *error = std::string(knob.key) + ": " + what;
-        return false;
-    };
-    if (knob.kind == Knob::Kind::Flag) {
-        if (value.kind != obs::JsonValue::Kind::Bool)
-            return fail("expected a boolean");
-        *static_cast<bool*>(knob.target) = value.boolean;
-        return true;
-    }
-    if (!value.isNumber())
-        return fail("expected a number");
-    const double v = value.number;
-    switch (knob.kind) {
-      case Knob::Kind::Prob:
-        if (v < 0.0 || v > 1.0)
-            return fail("probability must be in [0, 1]");
-        *static_cast<double*>(knob.target) = v;
-        return true;
-      case Knob::Kind::Seconds:
-        if (v < 0.0)
-            return fail("must be non-negative");
-        *static_cast<double*>(knob.target) = v;
-        return true;
-      case Knob::Kind::Tick:
-        if (v < 0.0)
-            return fail("must be non-negative");
-        *static_cast<sim::Tick*>(knob.target) = sim::fromSeconds(v);
-        return true;
-      case Knob::Kind::Count:
-        if (v < 0.0 || v != std::floor(v))
-            return fail("must be a non-negative integer");
-        *static_cast<std::uint32_t*>(knob.target) =
-            static_cast<std::uint32_t>(v);
-        return true;
-      case Knob::Kind::Flag:
-        break;
-    }
-    return fail("bad knob kind");
-}
-
-} // namespace
-
 bool
 parseFaultPlan(const std::string& text, FaultPlan& out, std::string* error)
 {
     obs::JsonValue root;
     if (!obs::parseJson(text, root, error))
         return false;
-    if (!root.isObject()) {
-        if (error != nullptr)
-            *error = "fault plan must be a JSON object";
-        return false;
-    }
 
+    using Kind = obs::JsonKnob::Kind;
     FaultPlan plan;
-    const Knob knobs[] = {
-        {"bare_init_fail_prob", Knob::Kind::Prob,
+    const obs::JsonKnob knobs[] = {
+        {"bare_init_fail_prob", Kind::Fraction,
          &plan.bareInitFailProb},
-        {"lang_init_fail_prob", Knob::Kind::Prob,
+        {"lang_init_fail_prob", Kind::Fraction,
          &plan.langInitFailProb},
-        {"user_init_fail_prob", Knob::Kind::Prob,
+        {"user_init_fail_prob", Kind::Fraction,
          &plan.userInitFailProb},
-        {"exec_crash_prob", Knob::Kind::Prob, &plan.execCrashProb},
-        {"wedge_prob", Knob::Kind::Prob, &plan.wedgeProb},
-        {"exec_timeout_seconds", Knob::Kind::Tick, &plan.execTimeout},
-        {"node_mtbf_seconds", Knob::Kind::Seconds,
+        {"exec_crash_prob", Kind::Fraction, &plan.execCrashProb},
+        {"wedge_prob", Kind::Fraction, &plan.wedgeProb},
+        {"exec_timeout_seconds", Kind::SecondsAsTick, &plan.execTimeout},
+        {"node_mtbf_seconds", Kind::NonNegative,
          &plan.nodeMtbfSeconds},
-        {"node_downtime_seconds", Knob::Kind::Seconds,
+        {"node_downtime_seconds", Kind::NonNegative,
          &plan.nodeDowntimeSeconds},
-        {"overload_rate_per_hour", Knob::Kind::Seconds,
+        {"overload_rate_per_hour", Kind::NonNegative,
          &plan.overloadRatePerHour},
-        {"overload_duration_seconds", Knob::Kind::Seconds,
+        {"overload_duration_seconds", Kind::NonNegative,
          &plan.overloadDurationSeconds},
-        {"overload_slowdown", Knob::Kind::Seconds,
+        {"overload_slowdown", Kind::NonNegative,
          &plan.overloadSlowdown},
-        {"max_retries", Knob::Kind::Count, &plan.maxRetries},
-        {"retry_backoff_base_seconds", Knob::Kind::Tick,
+        {"max_retries", Kind::Count, &plan.maxRetries},
+        {"retry_backoff_base_seconds", Kind::SecondsAsTick,
          &plan.retryBackoffBase},
-        {"retry_backoff_cap_seconds", Knob::Kind::Tick,
+        {"retry_backoff_cap_seconds", Kind::SecondsAsTick,
          &plan.retryBackoffCap},
-        {"retry_jitter_frac", Knob::Kind::Prob, &plan.retryJitterFrac},
-        {"shed_prewarms_under_pressure", Knob::Kind::Flag,
+        {"retry_jitter_frac", Kind::Fraction, &plan.retryJitterFrac},
+        {"shed_prewarms_under_pressure", Kind::Flag,
          &plan.shedPrewarmsUnderPressure},
         // ---- network gray-failure knobs (NetworkPlan) ------------------
-        {"net_link_delay_mean_ms", Knob::Kind::Seconds,
+        {"net_link_delay_mean_ms", Kind::NonNegative,
          &plan.network.linkDelayMeanMs},
-        {"net_link_delay_cv", Knob::Kind::Seconds,
+        {"net_link_delay_cv", Kind::NonNegative,
          &plan.network.linkDelayCv},
-        {"net_heavy_tail_prob", Knob::Kind::Prob,
+        {"net_heavy_tail_prob", Kind::Fraction,
          &plan.network.linkHeavyTailProb},
-        {"net_heavy_tail_factor", Knob::Kind::Seconds,
+        {"net_heavy_tail_factor", Kind::NonNegative,
          &plan.network.linkHeavyTailFactor},
-        {"net_msg_drop_prob", Knob::Kind::Prob,
+        {"net_msg_drop_prob", Kind::Fraction,
          &plan.network.msgDropProb},
-        {"net_msg_retransmit_ms", Knob::Kind::Seconds,
+        {"net_msg_retransmit_ms", Kind::NonNegative,
          &plan.network.msgRetransmitMs},
-        {"net_degraded_rate_per_hour", Knob::Kind::Seconds,
+        {"net_degraded_rate_per_hour", Kind::NonNegative,
          &plan.network.degradedRatePerHour},
-        {"net_degraded_duration_seconds", Knob::Kind::Seconds,
+        {"net_degraded_duration_seconds", Kind::NonNegative,
          &plan.network.degradedDurationSeconds},
-        {"net_degraded_exec_slowdown", Knob::Kind::Seconds,
+        {"net_degraded_exec_slowdown", Kind::NonNegative,
          &plan.network.degradedExecSlowdown},
-        {"net_degraded_init_slowdown", Knob::Kind::Seconds,
+        {"net_degraded_init_slowdown", Kind::NonNegative,
          &plan.network.degradedInitSlowdown},
-        {"net_partition_rate_per_hour", Knob::Kind::Seconds,
+        {"net_partition_rate_per_hour", Kind::NonNegative,
          &plan.network.partitionRatePerHour},
-        {"net_partition_duration_seconds", Knob::Kind::Seconds,
+        {"net_partition_duration_seconds", Kind::NonNegative,
          &plan.network.partitionDurationSeconds},
-        {"net_partition_fraction", Knob::Kind::Prob,
+        {"net_partition_fraction", Kind::Fraction,
          &plan.network.partitionFraction},
         // ---- tail-tolerance mitigation knobs ---------------------------
-        {"hedge_enabled", Knob::Kind::Flag,
+        {"hedge_enabled", Kind::Flag,
          &plan.network.hedgeEnabled},
-        {"hedge_latency_factor", Knob::Kind::Seconds,
+        {"hedge_latency_factor", Kind::NonNegative,
          &plan.network.hedgeLatencyFactor},
-        {"hedge_min_samples", Knob::Kind::Count,
+        {"hedge_min_samples", Kind::Count,
          &plan.network.hedgeMinSamples},
-        {"hedge_min_budget_ms", Knob::Kind::Seconds,
+        {"hedge_min_budget_ms", Kind::NonNegative,
          &plan.network.hedgeMinBudgetMs},
-        {"quarantine_enabled", Knob::Kind::Flag,
+        {"quarantine_enabled", Kind::Flag,
          &plan.network.quarantineEnabled},
-        {"quarantine_latency_factor", Knob::Kind::Seconds,
+        {"quarantine_latency_factor", Kind::NonNegative,
          &plan.network.quarantineLatencyFactor},
-        {"quarantine_min_samples", Knob::Kind::Count,
+        {"quarantine_min_samples", Kind::Count,
          &plan.network.quarantineMinSamples},
-        {"quarantine_drain_seconds", Knob::Kind::Seconds,
+        {"quarantine_drain_seconds", Kind::NonNegative,
          &plan.network.quarantineDrainSeconds},
-        {"quarantine_probe_count", Knob::Kind::Count,
+        {"quarantine_probe_count", Kind::Count,
          &plan.network.quarantineProbeCount},
-        {"quarantine_readmit_factor", Knob::Kind::Seconds,
+        {"quarantine_readmit_factor", Kind::NonNegative,
          &plan.network.quarantineReadmitFactor},
     };
 
-    for (const auto& [key, value] : root.object) {
-        bool known = false;
-        for (const Knob& knob : knobs) {
-            if (key == knob.key) {
-                known = true;
-                if (!applyKnob(knob, value, error))
-                    return false;
-                break;
-            }
-        }
-        if (!known) {
-            if (error != nullptr)
-                *error = "unknown fault-plan key '" + key + "'";
-            return false;
-        }
-    }
-    if (plan.overloadSlowdown < 1.0) {
-        if (error != nullptr)
-            *error = "overload_slowdown: must be >= 1";
+    if (!obs::readJsonKnobs(root, knobs, "fault plan", error))
         return false;
-    }
     const auto reject = [&](const char* what) {
         if (error != nullptr)
             *error = what;
         return false;
     };
+    if (plan.overloadSlowdown < 1.0)
+        return reject("overload_slowdown: must be >= 1");
     if (plan.network.degradedExecSlowdown < 1.0)
         return reject("net_degraded_exec_slowdown: must be >= 1");
     if (plan.network.degradedInitSlowdown < 1.0)
@@ -216,15 +132,9 @@ bool
 loadFaultPlanFile(const std::string& path, FaultPlan& out,
                   std::string* error)
 {
-    std::ifstream in(path);
-    if (!in) {
-        if (error != nullptr)
-            *error = "cannot open " + path;
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return parseFaultPlan(buffer.str(), out, error);
+    std::string text;
+    return obs::readTextFile(path, text, error) &&
+           parseFaultPlan(text, out, error);
 }
 
 } // namespace rc::fault

@@ -422,6 +422,41 @@ writeChromeTrace(std::ostream& os, const Observer& observer)
                                    args.str())});
             break;
           }
+          case EventType::AdmissionRejected:
+          case EventType::InvocationShed:
+          case EventType::PressureLevel:
+          case EventType::BreakerStateChanged:
+          case EventType::HedgeLaunched:
+          case EventType::HedgeWon:
+          case EventType::HedgeCancelled:
+          case EventType::HedgeLost:
+          case EventType::NodeQuarantined:
+          case EventType::NodeProbed:
+          case EventType::NodeReadmitted:
+          case EventType::PartitionStart:
+          case EventType::PartitionEnd:
+          case EventType::MsgDelayed:
+          case EventType::MsgDropped:
+          case EventType::NodeDegraded:
+          case EventType::DomainOutage:
+          case EventType::NodeDrainStarted:
+          case EventType::NodeDrained:
+          case EventType::NodeRejoinGranted:
+          case EventType::NodeWarmupDone:
+          case EventType::RecoveryRetry: {
+            // Admission, gray-failure, quarantine and recovery
+            // events carry their payload raw; trace_event.hh documents
+            // what a, b, arg0 and arg1 mean for each type.
+            std::ostringstream args;
+            args << "\"a\": " << static_cast<int>(event.a)
+                 << ", \"b\": " << static_cast<int>(event.b)
+                 << ", \"arg0\": " << event.arg0
+                 << ", \"arg1\": " << event.arg1;
+            out.push_back({instant(toString(event.type), kPidFaults,
+                                   event.container, event.tick,
+                                   args.str())});
+            break;
+          }
           case EventType::InvocationArrived:
           case EventType::InvocationQueued:
           case EventType::InvocationDispatched:

@@ -1,8 +1,14 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
+#include <sstream>
+
+#include "sim/time.hh"
 
 namespace rc::obs {
 
@@ -252,6 +258,7 @@ class Parser
 bool
 parseJson(const std::string& text, JsonValue& out, std::string* error)
 {
+    out = JsonValue{}; // a reused value must not keep old members
     return Parser(text, error).parse(out);
 }
 
@@ -279,6 +286,104 @@ jsonEscape(const std::string& raw)
         }
     }
     return out;
+}
+
+namespace {
+
+/** Largest SecondsAsTick value; its tick count fits a sim::Tick. */
+constexpr double kMaxTickSeconds = 9e12;
+
+} // namespace
+
+bool
+readJsonKnob(std::span<const JsonKnob> knobs, const std::string& key,
+             const JsonValue& value, const std::string& plan,
+             std::string* error)
+{
+    const JsonKnob* knob = nullptr;
+    for (const JsonKnob& candidate : knobs) {
+        if (key == candidate.key) {
+            knob = &candidate;
+            break;
+        }
+    }
+    const auto fail = [error](const std::string& what) {
+        if (error != nullptr)
+            *error = what;
+        return false;
+    };
+    if (knob == nullptr)
+        return fail("unknown " + plan + " key '" + key + "'");
+
+    using Kind = JsonKnob::Kind;
+    if (knob->kind == Kind::Flag) {
+        if (value.kind != JsonValue::Kind::Bool)
+            return fail(key + ": expected a boolean");
+        *static_cast<bool*>(knob->target) = value.boolean;
+        return true;
+    }
+    if (!value.isNumber())
+        return fail(key + ": expected a number");
+    const double v = value.number;
+    switch (knob->kind) {
+      case Kind::Fraction:
+        if (v < 0.0 || v > 1.0)
+            return fail(key + ": must be in [0, 1]");
+        *static_cast<double*>(knob->target) = v;
+        return true;
+      case Kind::NonNegative:
+        if (v < 0.0)
+            return fail(key + ": must be non-negative");
+        *static_cast<double*>(knob->target) = v;
+        return true;
+      case Kind::SecondsAsTick:
+        // Bounded so the conversion to integer ticks cannot overflow.
+        if (v < 0.0 || v > kMaxTickSeconds)
+            return fail(key + ": must be in [0, 9e12] seconds");
+        *static_cast<sim::Tick*>(knob->target) = sim::fromSeconds(v);
+        return true;
+      case Kind::Count:
+        if (v < 0.0 || v != std::floor(v) ||
+            v > std::numeric_limits<std::uint32_t>::max())
+            return fail(key + ": must be a non-negative 32-bit integer");
+        *static_cast<std::uint32_t*>(knob->target) =
+            static_cast<std::uint32_t>(v);
+        return true;
+      case Kind::Flag:
+        break;
+    }
+    return fail(key + ": bad knob kind");
+}
+
+bool
+readJsonKnobs(const JsonValue& object, std::span<const JsonKnob> knobs,
+              const std::string& plan, std::string* error)
+{
+    if (!object.isObject()) {
+        if (error != nullptr)
+            *error = plan + " must be a JSON object";
+        return false;
+    }
+    for (const auto& [key, value] : object.object) {
+        if (!readJsonKnob(knobs, key, value, plan, error))
+            return false;
+    }
+    return true;
+}
+
+bool
+readTextFile(const std::string& path, std::string& text, std::string* error)
+{
+    std::ifstream in(path);
+    if (!in) {
+        if (error != nullptr)
+            *error = "cannot open " + path;
+        return false;
+    }
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+    return true;
 }
 
 } // namespace rc::obs

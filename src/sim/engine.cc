@@ -1,5 +1,6 @@
 #include "sim/engine.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -7,7 +8,7 @@
 namespace rc::sim {
 
 // ---------------------------------------------------------------------------
-// Slot and bucket pools
+// Slot table
 
 std::uint32_t
 Engine::acquireSlot(InplaceCallback&& cb)
@@ -15,7 +16,7 @@ Engine::acquireSlot(InplaceCallback&& cb)
     if (_freeSlots.empty()) {
         const auto slot = static_cast<std::uint32_t>(_cbs.size());
         _cbs.push_back(std::move(cb));
-        _events.emplace_back();
+        _generations.push_back(1);
         return slot;
     }
     const std::uint32_t slot = _freeSlots.back();
@@ -28,94 +29,25 @@ void
 Engine::releaseSlot(std::uint32_t slot)
 {
     _cbs[slot].reset();
-    EventMeta& ev = _events[slot];
-    ev.bucket = kNil;
-    ++ev.generation;
+    ++_generations[slot];
     _freeSlots.push_back(slot);
 }
 
 std::uint32_t
-Engine::acquireBucket(Tick when, std::uint32_t slot)
+Engine::decodeLive(EventId id) const
 {
-    if (_freeBuckets.empty()) {
-        const auto bucket = static_cast<std::uint32_t>(_buckets.size());
-        _buckets.push_back(Bucket{when, slot, slot, 0});
-        return bucket;
-    }
-    const std::uint32_t bucket = _freeBuckets.back();
-    _freeBuckets.pop_back();
-    _buckets[bucket] = Bucket{when, slot, slot, 0};
-    return bucket;
-}
-
-void
-Engine::releaseBucket(std::uint32_t bucket)
-{
-    _freeBuckets.push_back(bucket);
+    const std::uint64_t low = id & 0xffffffffu;
+    if (low == 0)
+        return kNil;
+    const auto slot = static_cast<std::uint32_t>(low - 1);
+    if (slot >= _cbs.size() || !_cbs[slot] ||
+        _generations[slot] != static_cast<std::uint32_t>(id >> 32))
+        return kNil;
+    return slot;
 }
 
 // ---------------------------------------------------------------------------
-// Tick -> bucket map (linear probing, backward-shift deletion)
-
-std::size_t
-Engine::hashTick(Tick when)
-{
-    // splitmix64 finisher: ticks are often multiples of large powers
-    // of ten (second/minute boundaries), so low bits need mixing.
-    auto x = static_cast<std::uint64_t>(when);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-}
-
-void
-Engine::mapGrow()
-{
-    // Grow 4x from a 1k floor: fewer rehash passes (each pass zeroes
-    // and re-places the whole table) at a bounded memory premium.
-    const std::size_t newSize = _map.empty() ? 1024 : _map.size() * 4;
-    std::vector<MapEntry> old = std::move(_map);
-    _map.assign(newSize, MapEntry{});
-    const std::size_t mask = newSize - 1;
-    for (const MapEntry& entry : old) {
-        if (entry.key == kEmptyKey)
-            continue;
-        std::size_t i = entry.hash & mask;
-        while (_map[i].key != kEmptyKey)
-            i = (i + 1) & mask;
-        _map[i] = entry;
-        _buckets[entry.value].mapIndex = static_cast<std::uint32_t>(i);
-    }
-}
-
-void
-Engine::mapEraseAt(std::size_t hole)
-{
-    const std::size_t mask = _map.size() - 1;
-    // Backward-shift deletion keeps probe chains tombstone-free: any
-    // entry probing past the hole is pulled back into it.
-    std::size_t i = hole;
-    for (;;) {
-        i = (i + 1) & mask;
-        if (_map[i].key == kEmptyKey)
-            break;
-        const std::size_t ideal = _map[i].hash & mask;
-        if (((i - ideal) & mask) >= ((i - hole) & mask)) {
-            _map[hole] = _map[i];
-            _buckets[_map[i].value].mapIndex =
-                static_cast<std::uint32_t>(hole);
-            hole = i;
-        }
-    }
-    _map[hole].key = kEmptyKey;
-    --_mapLive;
-}
-
-// ---------------------------------------------------------------------------
-// Indexed 4-ary heap of buckets
+// 4-ary heap
 
 void
 Engine::siftUp(std::size_t pos, HeapNode node)
@@ -171,49 +103,15 @@ Engine::schedule(Tick when, Callback cb)
         throw std::invalid_argument(
             "Engine::schedule: event time is in the past");
     }
+    if (!cb)
+        throw std::invalid_argument("Engine::schedule: empty callback");
     const std::uint32_t slot = acquireSlot(std::move(cb));
-    EventMeta& ev = _events[slot];
-    ev.next = kNil;
-
-    // Grow before probing (load factor 1/2: short clusters, cheap
-    // backward-shift erases) so one probe serves both lookup and
-    // insert.
-    if (_map.empty() || (_mapLive + 1) * 2 > _map.size())
-        mapGrow();
-    const std::size_t mask = _map.size() - 1;
-    const auto hash = static_cast<std::uint32_t>(hashTick(when));
-    std::size_t i = hash & mask;
-    while (_map[i].key != kEmptyKey && _map[i].key != when)
-        i = (i + 1) & mask;
-
-    if (_map[i].key == when) {
-        // Same-tick append: O(1), no heap traffic at all.
-        const std::uint32_t bucket = _map[i].value;
-        Bucket& bk = _buckets[bucket];
-        ev.bucket = bucket;
-        if (bk.head == kNil) {
-            // Revive a bucket drained by cancellation.
-            ev.prev = kNil;
-            bk.head = slot;
-            bk.tail = slot;
-        } else {
-            ev.prev = bk.tail;
-            _events[bk.tail].next = slot;
-            bk.tail = slot;
-        }
-    } else {
-        const std::uint32_t bucket = acquireBucket(when, slot);
-        ev.prev = kNil;
-        ev.bucket = bucket;
-        _map[i] = MapEntry{when, bucket, hash};
-        ++_mapLive;
-        _buckets[bucket].mapIndex = static_cast<std::uint32_t>(i);
-        _heap.emplace_back();
-        siftUp(_heap.size() - 1, HeapNode{when, bucket});
-    }
+    const std::uint32_t generation = _generations[slot];
+    _heap.emplace_back();
+    siftUp(_heap.size() - 1, HeapNode{when, _scheduled, slot, generation});
     ++_live;
     ++_scheduled;
-    return makeId(slot, ev.generation);
+    return makeId(slot, generation);
 }
 
 EventId
@@ -224,46 +122,16 @@ Engine::scheduleAfter(Tick delay, Callback cb)
     return schedule(_now + delay, std::move(cb));
 }
 
-std::uint32_t
-Engine::decodeLive(EventId id) const
-{
-    const std::uint64_t low = id & 0xffffffffu;
-    if (low == 0)
-        return kNil;
-    const auto slot = static_cast<std::uint32_t>(low - 1);
-    if (slot >= _events.size())
-        return kNil;
-    const EventMeta& ev = _events[slot];
-    if (ev.generation != static_cast<std::uint32_t>(id >> 32) ||
-        ev.bucket == kNil)
-        return kNil;
-    return slot;
-}
-
 bool
 Engine::cancel(EventId id)
 {
     const std::uint32_t slot = decodeLive(id);
     if (slot == kNil)
         return false;
-
-    EventMeta& ev = _events[slot];
-    const std::uint32_t bucket = ev.bucket;
-    Bucket& bk = _buckets[bucket];
-    if (ev.prev != kNil)
-        _events[ev.prev].next = ev.next;
-    else
-        bk.head = ev.next;
-    if (ev.next != kNil)
-        _events[ev.next].prev = ev.prev;
-    else
-        bk.tail = ev.prev;
-
-    // A bucket drained by cancellation stays in heap and map as an
-    // empty node: a later same-tick schedule revives it in O(1), and
-    // pruneFront() collects it if it surfaces unrevived. This keeps
-    // cancel() itself O(1) — the keep-alive renewal pattern cancels
-    // and reschedules constantly.
+    // The heap node stays behind: releasing the slot bumps its
+    // generation, so pruneFront() recognises the node as stale when it
+    // surfaces. This keeps cancel() O(1) — the keep-alive renewal
+    // pattern cancels and reschedules constantly.
     releaseSlot(slot);
     --_live;
     ++_cancelled;
@@ -276,59 +144,41 @@ Engine::pending(EventId id) const
     return decodeLive(id) != kNil;
 }
 
+bool
+Engine::pruneFront()
+{
+    while (!_heap.empty()) {
+        const HeapNode& front = _heap[0];
+        if (_generations[front.slot] == front.generation)
+            return true;
+        popFront();
+    }
+    return false;
+}
+
 void
 Engine::dispatchFront()
 {
-    const std::uint32_t bucket = _heap[0].bucket;
-    Bucket& bk = _buckets[bucket];
-    const Tick when = bk.when;
-    assert(when >= _now && "event queue must be monotonic");
-
-    const std::uint32_t slot = bk.head;
-    const std::uint32_t next = _events[slot].next;
+    const HeapNode front = _heap[0];
+    assert(front.when >= _now && "event queue must be monotonic");
+    popFront();
 
     // Move the callback out and retire the event *before* invoking,
     // so the callback may freely schedule or cancel other events
     // (including re-entrant patterns).
-    InplaceCallback cb = std::move(_cbs[slot]);
-    releaseSlot(slot);
-    if (next == kNil) {
-        // Drained by dispatch: collect eagerly — a callback that
-        // schedules for the current tick just creates a fresh bucket,
-        // which lands at the heap front and fires next, preserving
-        // FIFO.
-        mapEraseAt(bk.mapIndex);
-        popFront();
-        releaseBucket(bucket);
-    } else {
-        bk.head = next;
-        _events[next].prev = kNil;
-    }
+    InplaceCallback cb = std::move(_cbs[front.slot]);
+    releaseSlot(front.slot);
     --_live;
 
-    _now = when;
+    _now = front.when;
     ++_executed;
     cb();
-}
-
-void
-Engine::pruneFront()
-{
-    while (!_heap.empty()) {
-        const std::uint32_t bucket = _heap[0].bucket;
-        if (_buckets[bucket].head != kNil)
-            return;
-        mapEraseAt(_buckets[bucket].mapIndex);
-        popFront();
-        releaseBucket(bucket);
-    }
 }
 
 bool
 Engine::step()
 {
-    pruneFront();
-    if (_heap.empty())
+    if (!pruneFront())
         return false;
     dispatchFront();
     return true;
@@ -337,52 +187,17 @@ Engine::step()
 void
 Engine::run()
 {
-    for (;;) {
-        pruneFront();
-        if (_heap.empty())
-            return;
+    while (pruneFront())
         dispatchFront();
-    }
 }
 
 void
 Engine::runUntil(Tick horizon)
 {
-    for (;;) {
-        pruneFront();
-        if (_heap.empty() || _heap[0].when > horizon)
-            break;
+    while (pruneFront() && _heap[0].when <= horizon)
         dispatchFront();
-    }
     if (_now < horizon)
         _now = horizon;
-}
-
-void
-Engine::clear()
-{
-    _heap.clear();
-    _buckets.clear();
-    _freeBuckets.clear();
-    _freeSlots.clear();
-    _map.clear();
-    _mapLive = 0;
-    // Bump every generation so handles issued before clear() can
-    // never alias an event scheduled after it. Refill the free list
-    // back-to-front so a cleared engine hands out slots 0, 1, 2, ...
-    // exactly like a fresh one.
-    for (std::size_t i = _events.size(); i-- > 0;) {
-        _cbs[i].reset();
-        EventMeta& ev = _events[i];
-        ev.bucket = kNil;
-        ++ev.generation;
-        _freeSlots.push_back(static_cast<std::uint32_t>(i));
-    }
-    _now = 0;
-    _executed = 0;
-    _scheduled = 0;
-    _cancelled = 0;
-    _live = 0;
 }
 
 } // namespace rc::sim

@@ -2,35 +2,31 @@
  * @file
  * Discrete-event simulation engine.
  *
- * The engine owns an indexed 4-ary min-heap of *tick buckets*: one
- * heap node per distinct pending timestamp, each holding an intrusive
- * FIFO list of that tick's events. Events scheduled for the same tick
- * fire in scheduling order (FIFO), which makes runs fully
- * deterministic. Scheduled events can be cancelled, which is the
- * mechanism behind keep-alive TTL renewal: a container cancels its
- * pending timeout when it is reused and schedules a fresh one when it
- * goes idle again.
+ * The engine owns one 4-ary min-heap of 24-byte POD nodes keyed on
+ * (tick, seq), where seq numbers schedule() calls. Events fire in time
+ * order, and events on the same tick fire in scheduling order (FIFO),
+ * including events a callback schedules for the current tick; this
+ * makes runs fully deterministic. Scheduled events can be cancelled,
+ * which is the mechanism behind keep-alive TTL renewal: a container
+ * cancels its pending timeout when it is reused and schedules a fresh
+ * one when it goes idle again.
  *
- * Hot-path layout:
+ * Layout:
  *  - callbacks are `InplaceCallback`s (48-byte small-buffer storage,
- *    no per-event heap allocation) living in a stable slot table;
- *  - heap nodes are 16-byte PODs, so sift operations move PODs only,
- *    and because simulated workloads pile many events onto the same
- *    tick (keep-alive expiries, per-minute arrival buckets) the heap
- *    holds one node per *distinct* tick — sift work is amortised over
- *    every event sharing the timestamp;
- *  - a flat open-addressing table maps tick -> bucket for O(1)
- *    same-tick appends;
- *  - cancel() unlinks from the bucket list in O(1). A bucket drained
- *    by cancellation stays in the heap as an empty node that a later
- *    same-tick schedule revives in O(1); exhausted buckets are
- *    collected with an O(log n) pop when they surface at the heap
- *    front. Removal only ever happens at the front, so sifting never
- *    maintains back-pointers. Unlike the earlier priority_queue
- *    design there is no per-event tombstone and no per-pop map
- *    lookup, and pendingEvents() is always exact;
- *  - slots carry a generation counter so stale handles stay harmless
- *    no-ops.
+ *    no per-event heap allocation) in a slot table whose slots are
+ *    recycled through a free list;
+ *  - every slot carries a generation counter, bumped whenever the
+ *    slot is released. EventIds and heap nodes both name a (slot,
+ *    generation) pair, so a stale handle is a harmless no-op and a
+ *    stale heap node is recognised on sight;
+ *  - cancel() releases the slot in O(1) and leaves the event's heap
+ *    node behind, where it costs 24 bytes until its tick surfaces.
+ *    run(), runUntil() and step() drop stale nodes when they reach
+ *    the front, before any horizon check, so whenever run() or
+ *    runUntil() returns the front is the earliest live event.
+ *
+ * The replayed workloads dispatch one to 1.2 events per distinct tick
+ * (DESIGN.md §7.1), so the heap does not batch events by tick.
  */
 
 #ifndef RC_SIM_ENGINE_HH_
@@ -73,7 +69,8 @@ class Engine
      * Schedule @p cb to run at absolute time @p when.
      *
      * @param when  Absolute tick; must be >= now().
-     * @param cb    Callback invoked when simulated time reaches @p when.
+     * @param cb    Callback invoked when simulated time reaches @p when;
+     *              must not be empty.
      * @return Handle usable with cancel().
      */
     EventId schedule(Tick when, Callback cb);
@@ -107,24 +104,16 @@ class Engine
     /** Execute at most one event. @return false if the queue is empty. */
     bool step();
 
-    /**
-     * Reset to a freshly-constructed state for reuse between runs:
-     * drops all pending events and rewinds the clock and counters.
-     * Handles issued before clear() remain safely cancellable no-ops
-     * (every slot generation is bumped).
-     */
-    void clear();
-
     /** Current simulated time. */
     Tick now() const { return _now; }
 
-    /** Number of events executed since construction (or clear()). */
+    /** Number of events executed since construction. */
     std::uint64_t executedEvents() const { return _executed; }
 
-    /** Number of schedule() calls since construction (or clear()). */
+    /** Number of schedule() calls since construction. */
     std::uint64_t scheduledEvents() const { return _scheduled; }
 
-    /** Number of successful cancels since construction (or clear()). */
+    /** Number of successful cancels since construction. */
     std::uint64_t cancelledEvents() const { return _cancelled; }
 
     /** Number of live (scheduled, non-cancelled) events. */
@@ -132,11 +121,12 @@ class Engine
 
     /**
      * Earliest pending tick, or Tick's max when the queue is empty.
-     * Conservative: the front bucket may hold only cancelled events,
-     * so the returned tick can be earlier than the next event that
-     * will actually fire — callers may poll too early, never too
-     * late. The sharded cluster core uses this to skip idle nodes in
-     * a barrier window without touching the heap.
+     * Conservative: the heap front may be a cancelled event, so the
+     * returned tick can be earlier than the next event that will
+     * actually fire — callers may poll too early, never too late.
+     * Right after run() or runUntil() the front is live and the tick
+     * is exact. The sharded cluster core uses this to skip idle nodes
+     * in a barrier window without touching the heap.
      */
     Tick
     nextEventAt() const
@@ -147,51 +137,20 @@ class Engine
 
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
-    static constexpr Tick kEmptyKey = -1; // valid whens are >= 0
 
-    /** POD heap node: one per distinct pending tick. */
+    /** POD heap node: one per scheduled event until it is popped. */
     struct HeapNode
     {
         Tick when;
-        std::uint32_t bucket;
-    };
-
-    /** FIFO list of the events pending at one tick. */
-    struct Bucket
-    {
-        Tick when;
-        std::uint32_t head;
-        std::uint32_t tail;
-        std::uint32_t mapIndex; // this bucket's slot in _map
-    };
-
-    /**
-     * Per-event bookkeeping, kept separate from the callback storage
-     * so link updates touch a dense 16-byte-stride array. A slot is
-     * live iff bucket != kNil.
-     */
-    struct EventMeta
-    {
-        std::uint32_t next = kNil;
-        std::uint32_t prev = kNil;
-        std::uint32_t bucket = kNil;
-        std::uint32_t generation = 1;
-    };
-
-    /** Open-addressing tick -> bucket entry. */
-    struct MapEntry
-    {
-        Tick key = kEmptyKey;
-        std::uint32_t value = 0;
-        std::uint32_t hash = 0; // low bits of hashTick(key), cached
+        std::uint64_t seq; // schedule() call number: the FIFO tiebreak
+        std::uint32_t slot;
+        std::uint32_t generation; // stale once the slot's has moved on
     };
 
     static bool
     before(const HeapNode& a, const HeapNode& b)
     {
-        // One bucket per tick, so keys are unique and FIFO ordering
-        // lives entirely inside the bucket lists.
-        return a.when < b.when;
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
     }
 
     static EventId
@@ -203,31 +162,26 @@ class Engine
                static_cast<EventId>(slot + 1);
     }
 
-    static std::size_t hashTick(Tick when);
-
     /** @return slot index for @p id, or kNil if not pending. */
     std::uint32_t decodeLive(EventId id) const;
 
     std::uint32_t acquireSlot(InplaceCallback&& cb);
     void releaseSlot(std::uint32_t slot);
-    std::uint32_t acquireBucket(Tick when, std::uint32_t slot);
-    void releaseBucket(std::uint32_t bucket);
-
-    /** Backward-shift erase of _map[hole] (keeps probes chain-free). */
-    void mapEraseAt(std::size_t hole);
-    void mapGrow();
 
     void siftUp(std::size_t pos, HeapNode node);
     void siftDown(std::size_t pos, HeapNode node);
     /** Remove the heap front, restoring heap order. */
     void popFront();
 
-    /** Collect exhausted tick buckets sitting at the heap front. */
-    void pruneFront();
+    /**
+     * Drop stale (cancelled) nodes at the heap front.
+     * @return true if a live event is now at the front.
+     */
+    bool pruneFront();
 
     /**
-     * Pop and run the front event; precondition: pruneFront() has
-     * run and the heap is not empty.
+     * Pop and run the front event; precondition: pruneFront()
+     * returned true.
      */
     void dispatchFront();
 
@@ -237,13 +191,10 @@ class Engine
     std::uint64_t _cancelled = 0;
     std::size_t _live = 0;
     std::vector<HeapNode> _heap;
-    std::vector<Bucket> _buckets;
-    std::vector<std::uint32_t> _freeBuckets;
-    std::vector<EventMeta> _events;    // indexed by slot
-    std::vector<InplaceCallback> _cbs; // indexed by slot
+    // Slot table: a slot is live iff its callback is non-empty.
+    std::vector<InplaceCallback> _cbs;
+    std::vector<std::uint32_t> _generations;
     std::vector<std::uint32_t> _freeSlots;
-    std::vector<MapEntry> _map; // power-of-two open addressing
-    std::size_t _mapLive = 0;
 };
 
 } // namespace rc::sim

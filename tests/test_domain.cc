@@ -241,8 +241,9 @@ TEST(DomainSchedule, OutageDrawsAreDeterministicAndDisjoint)
     // Waves never overlap in time and struck sets are real domains.
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_LT(a[i].at, a[i].downUntil);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].at, a[i - 1].downUntil);
+        }
         EXPECT_FALSE(a[i].nodes.empty());
         for (const auto node : a[i].nodes)
             EXPECT_LT(node, 8u);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -216,44 +217,6 @@ TEST(Engine, PendingEventsCountsLiveEventsOnly)
     EXPECT_EQ(engine.pendingEvents(), 0u);
 }
 
-TEST(Engine, ClearResetsToFreshState)
-{
-    Engine engine;
-    int fired = 0;
-    engine.schedule(10, [&] { ++fired; });
-    engine.schedule(20, [&] { ++fired; });
-    engine.run();
-    engine.schedule(30, [&] { ++fired; });
-
-    engine.clear();
-    EXPECT_EQ(engine.now(), 0);
-    EXPECT_EQ(engine.pendingEvents(), 0u);
-    EXPECT_EQ(engine.executedEvents(), 0u);
-
-    // The engine is reusable: events schedule from tick 0 again.
-    engine.schedule(5, [&] { ++fired; });
-    engine.run();
-    EXPECT_EQ(fired, 3); // the cleared tick-30 event never fired
-    EXPECT_EQ(engine.now(), 5);
-}
-
-TEST(Engine, HandlesFromBeforeClearAreHarmless)
-{
-    Engine engine;
-    bool stale = false;
-    const EventId old = engine.schedule(10, [&] { stale = true; });
-    engine.clear();
-
-    bool fresh = false;
-    const EventId id = engine.schedule(10, [&] { fresh = true; });
-    EXPECT_FALSE(engine.pending(old));
-    EXPECT_FALSE(engine.cancel(old)); // must not cancel the new event
-    EXPECT_TRUE(engine.pending(id));
-    engine.run();
-    EXPECT_TRUE(fresh);
-    EXPECT_FALSE(stale);
-}
-
 TEST(Engine, SameTickCancelBeforeFire)
 {
     // An event may cancel a later-scheduled event on its own tick.
@@ -265,6 +228,53 @@ TEST(Engine, SameTickCancelBeforeFire)
     engine.run();
     EXPECT_FALSE(victimFired);
     EXPECT_EQ(engine.executedEvents(), 1u);
+}
+
+TEST(Engine, EventsScheduledForTheCurrentTickFireAfterItsOthers)
+{
+    Engine engine;
+    std::vector<int> order;
+    engine.schedule(10, [&] {
+        order.push_back(1);
+        engine.schedule(10, [&] { order.push_back(3); });
+    });
+    engine.schedule(10, [&] { order.push_back(2); });
+    engine.schedule(11, [&] { order.push_back(4); });
+    engine.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Engine, SchedulingAnEmptyCallbackThrows)
+{
+    Engine engine;
+    EXPECT_THROW(engine.schedule(10, Engine::Callback{}),
+                 std::invalid_argument);
+    EXPECT_EQ(engine.pendingEvents(), 0u);
+    EXPECT_EQ(engine.scheduledEvents(), 0u);
+}
+
+TEST(Engine, CancelledFrontStaysVisibleUntilARunUntilPrunesIt)
+{
+    // nextEventAt() is conservative between runs: a cancelled event
+    // at the front still shows. runUntil() drops stale fronts before
+    // its horizon check, so even a horizon below the cancelled tick
+    // leaves the earliest live event at the front.
+    Engine engine;
+    bool fired = false;
+    const EventId early = engine.schedule(10, [] {});
+    engine.schedule(20, [&] { fired = true; });
+    EXPECT_TRUE(engine.cancel(early));
+    EXPECT_EQ(engine.nextEventAt(), 10);
+    EXPECT_EQ(engine.pendingEvents(), 1u);
+
+    engine.runUntil(5);
+    EXPECT_EQ(engine.nextEventAt(), 20);
+    EXPECT_EQ(engine.now(), 5);
+    EXPECT_FALSE(fired);
+
+    engine.run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(engine.nextEventAt(), std::numeric_limits<Tick>::max());
 }
 
 TEST(Engine, CancelledIdIsNeverReportedPending)
@@ -284,7 +294,9 @@ TEST(Engine, InterleavedScheduleCancelMatchesReferenceModel)
 {
     // Reference model: a plain list of (when, seq, tag) stably sorted
     // by (when, seq), minus cancelled entries, gives the firing order
-    // the engine must reproduce exactly.
+    // the engine must reproduce exactly. runUntil checkpoints fire a
+    // prefix of that order; every later schedule lands at or after
+    // the horizon, so the prefixes concatenate into the same order.
     struct RefEvent
     {
         Tick when;
@@ -308,7 +320,24 @@ TEST(Engine, InterleavedScheduleCancelMatchesReferenceModel)
     };
 
     std::uint64_t seq = 0;
+    Tick horizon = 0;
     for (int i = 0; i < 5000; ++i) {
+        if (i % 100 == 99) {
+            // Checkpoint: everything at or before the horizon fires,
+            // and the front then shows the earliest live tick. The
+            // sharded core's barrier grid reads exactly this.
+            horizon += static_cast<Tick>(next() % 40);
+            engine.runUntil(horizon);
+            std::erase_if(live, [&](const auto& entry) {
+                return reference[entry.second].when <= horizon;
+            });
+            Tick earliest = std::numeric_limits<Tick>::max();
+            for (const auto& entry : live)
+                earliest = std::min(earliest, reference[entry.second].when);
+            EXPECT_EQ(engine.nextEventAt(), earliest)
+                << "after runUntil(" << horizon << ")";
+            continue;
+        }
         const bool doCancel = !live.empty() && next() % 4 == 0;
         if (doCancel) {
             const std::size_t pick = next() % live.size();
@@ -318,7 +347,7 @@ TEST(Engine, InterleavedScheduleCancelMatchesReferenceModel)
             live[pick] = live.back();
             live.pop_back();
         } else {
-            const Tick when = static_cast<Tick>(next() % 997);
+            const Tick when = horizon + static_cast<Tick>(next() % 997);
             const int tag = i;
             const EventId id =
                 engine.schedule(when, [&fired, tag] { fired.push_back(tag); });

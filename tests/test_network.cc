@@ -520,8 +520,9 @@ TEST(GrayCluster, HedgedSpanTreesStayValid)
         if (span.parent != 0)
             ++chainedRoots;
     }
-    if (result.cancelledInvocations > 0)
+    if (result.cancelledInvocations > 0) {
         EXPECT_GT(cancelledRoots, 0u);
+    }
     EXPECT_GT(chainedRoots, 0u);
 }
 

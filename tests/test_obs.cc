@@ -212,6 +212,52 @@ TEST(Json, EscapesStrings)
     EXPECT_EQ(root.stringAt("k"), "a\"b\\c\nd");
 }
 
+TEST(Json, KnobTableReadsEveryKindAndNamesThePlan)
+{
+    double fraction = 0.0;
+    double seconds = 0.0;
+    sim::Tick tick = 0;
+    std::uint32_t count = 0;
+    bool flag = false;
+    using Kind = JsonKnob::Kind;
+    const JsonKnob knobs[] = {
+        {"f", Kind::Fraction, &fraction},
+        {"s", Kind::NonNegative, &seconds},
+        {"t", Kind::SecondsAsTick, &tick},
+        {"c", Kind::Count, &count},
+        {"b", Kind::Flag, &flag},
+    };
+    JsonValue root;
+    std::string error;
+    ASSERT_TRUE(parseJson(
+        R"({"f": 0.25, "s": 90, "t": 1.5, "c": 3, "b": true})", root));
+    ASSERT_TRUE(readJsonKnobs(root, knobs, "test plan", &error)) << error;
+    EXPECT_DOUBLE_EQ(fraction, 0.25);
+    EXPECT_DOUBLE_EQ(seconds, 90.0);
+    EXPECT_EQ(tick, sim::fromSeconds(1.5));
+    EXPECT_EQ(count, 3u);
+    EXPECT_TRUE(flag);
+
+    for (const char* bad :
+         {R"({"f": 1.5})", R"({"s": -1})", R"({"t": -0.5})",
+          R"({"t": 1e300})", R"({"c": 2.5})", R"({"c": 1e10})",
+          R"({"b": 1})", R"({"s": "9"})"}) {
+        ASSERT_TRUE(parseJson(bad, root)) << bad;
+        error.clear();
+        EXPECT_FALSE(readJsonKnobs(root, knobs, "test plan", &error))
+            << bad;
+        // Value errors lead with the offending key.
+        EXPECT_EQ(error.substr(0, 1), std::string(bad).substr(2, 1))
+            << error;
+    }
+    ASSERT_TRUE(parseJson(R"({"nope": 1})", root));
+    EXPECT_FALSE(readJsonKnobs(root, knobs, "test plan", &error));
+    EXPECT_EQ(error, "unknown test plan key 'nope'");
+    ASSERT_TRUE(parseJson("[1]", root));
+    EXPECT_FALSE(readJsonKnobs(root, knobs, "test plan", &error));
+    EXPECT_EQ(error, "test plan must be a JSON object");
+}
+
 TEST(Export, JsonlRoundTripsThroughParser)
 {
     Observer observer;
@@ -244,6 +290,66 @@ TEST(Export, JsonlRoundTripsThroughParser)
         EXPECT_DOUBLE_EQ(got.arg0, want.arg0);
         EXPECT_DOUBLE_EQ(got.arg1, want.arg1);
     }
+}
+
+TEST(Export, ChromeTraceHasAnEntryForEveryEventType)
+{
+    // One event of every type, each on its own tick and all on one
+    // container. Each must show in the Chrome trace at its tick, as an
+    // instant or as the start of the slice it opens. The per-invocation
+    // ladder steps and the engine snapshot are JSONL-only: the
+    // invocation slice already spans arrival to completion, and the
+    // snapshot is a run total.
+    const std::set<EventType> jsonlOnly = {
+        EventType::InvocationArrived, EventType::InvocationQueued,
+        EventType::InvocationDispatched, EventType::EngineStats};
+    const auto tickOf = [](std::size_t i) {
+        return static_cast<sim::Tick>(i + 1) * sim::kSecond;
+    };
+    Observer observer;
+    for (std::size_t i = 0; i < kEventTypeCount; ++i) {
+        observer.emit(tickOf(i), static_cast<EventType>(i),
+                      /*container=*/3, /*function=*/7, /*a=*/1, /*b=*/2,
+                      /*arg0=*/0.5);
+    }
+
+    std::ostringstream os;
+    writeChromeTrace(os, observer);
+    JsonValue root;
+    std::string error;
+    ASSERT_TRUE(parseJson(os.str(), root, &error)) << error;
+    const JsonValue* events = root.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::map<sim::Tick, std::vector<const JsonValue*>> byTick;
+    for (const auto& event : events->array) {
+        if (event.stringAt("ph") != "M") {
+            byTick[static_cast<sim::Tick>(event.numberAt("ts", -1.0))]
+                .push_back(&event);
+        }
+    }
+    for (std::size_t i = 0; i < kEventTypeCount; ++i) {
+        const auto type = static_cast<EventType>(i);
+        if (jsonlOnly.count(type) == 0) {
+            EXPECT_EQ(byTick.count(tickOf(i)), 1u)
+                << "no Chrome entry for " << toString(type);
+        }
+    }
+
+    // The admission, gray-failure and recovery types render raw.
+    const auto hedgeIndex =
+        static_cast<std::size_t>(EventType::HedgeLaunched);
+    const auto hedge = byTick.find(tickOf(hedgeIndex));
+    ASSERT_NE(hedge, byTick.end());
+    ASSERT_EQ(hedge->second.size(), 1u);
+    const JsonValue& entry = *hedge->second.front();
+    EXPECT_EQ(entry.stringAt("name"), toString(EventType::HedgeLaunched));
+    EXPECT_EQ(entry.stringAt("ph"), "i");
+    const JsonValue* args = entry.find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_EQ(args->numberAt("a"), 1.0);
+    EXPECT_EQ(args->numberAt("b"), 2.0);
+    EXPECT_EQ(args->numberAt("arg0"), 0.5);
+    EXPECT_EQ(args->numberAt("arg1", -1.0), 0.0);
 }
 
 TEST(Export, JsonlParserRejectsUnknownTypes)
