@@ -41,10 +41,7 @@ drawCrashSchedule(const fault::FaultPlan& plan, std::uint64_t seed,
             t += downtime; // next crash after the restart
         }
     }
-    std::sort(crashes.begin(), crashes.end(),
-              [](const CrashEvent& a, const CrashEvent& b) {
-                  return a.at != b.at ? a.at < b.at : a.node < b.node;
-              });
+    std::sort(crashes.begin(), crashes.end());
     return crashes;
 }
 

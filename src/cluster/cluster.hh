@@ -1,10 +1,10 @@
 /**
  * @file
  * What a cluster run takes and returns: the routing modes, the fleet
- * configuration, the aggregated result, and the pre-drawn crash
- * schedule. Shared by the sharded core (cluster/sharded_cluster.hh),
- * its router (cluster/shard_scheduler.hh) and the recovery
- * orchestrator.
+ * configuration, the aggregated result, the pre-drawn crash schedule,
+ * and the inputs the coordinator routes to nodes. Shared by the sharded core (cluster/sharded_cluster.hh),
+ * its router (cluster/shard_scheduler.hh), request tracker, gray
+ * network and recovery orchestrator.
  */
 
 #ifndef RC_CLUSTER_CLUSTER_HH_
@@ -12,14 +12,31 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "platform/node.hh"
 #include "policy/policy.hh"
 
 namespace rc::cluster {
+
+/** "No such tick": an exhausted stream, or nothing left to do. */
+inline constexpr sim::Tick kNever = std::numeric_limits<sim::Tick>::max();
+
+/**
+ * Round @p tick up to the barrier grid: the smallest multiple of
+ * @p pitch that is >= @p tick. Window-end alignment must use this:
+ * a raw (unaligned) end tick proposed as the next barrier floors back
+ * into a window that can never act on it, and the run stalls.
+ */
+inline sim::Tick
+alignToBarrier(sim::Tick tick, sim::Tick pitch)
+{
+    return (tick + pitch - 1) / pitch * pitch;
+}
 
 /**
  * Inter-node routing policies (§8, "RainbowCake on distributed
@@ -198,6 +215,12 @@ struct CrashEvent
     sim::Tick at = 0;
     std::size_t node = 0;
     sim::Tick downUntil = 0;
+
+    /** Crash streams run in (at, node) order. */
+    friend bool operator<(const CrashEvent& a, const CrashEvent& b)
+    {
+        return std::tie(a.at, a.node) < std::tie(b.at, b.node);
+    }
 };
 
 /**
@@ -210,6 +233,63 @@ std::vector<CrashEvent> drawCrashSchedule(const fault::FaultPlan& plan,
                                           std::uint64_t seed,
                                           std::size_t nodes,
                                           sim::Tick horizon);
+
+/**
+ * One cross-shard message: an invocation delivered to a node, or a
+ * pre-drawn crash instant. Inboxes are drained in shardInputBefore
+ * order, which is independent of the shard partitioning.
+ */
+struct ShardInput
+{
+    sim::Tick tick = 0;
+    /** Coordinator-assigned global sequence (deterministic). */
+    std::uint64_t seq = 0;
+    workload::FunctionId function = workload::kInvalidFunction;
+    /** Crash: restart instant. Recovery prewarm: the Layer to
+     *  install, cast — the field is otherwise unused by that kind. */
+    sim::Tick downUntil = 0;
+    /** 0 = crash, 1 = invocation, 2 = hedge cancel, 3 = recovery
+     *  prewarm; ascending order at equal ticks (crashes first,
+     *  prewarms last). */
+    std::uint8_t kind = 1;
+    /**
+     * Invoke only: root span this delivery chains to (failover
+     * re-issue or hedge primary), 0 for fresh arrivals. Span ids
+     * embed (node, local seq), so the value is independent of the
+     * shard partitioning.
+     */
+    std::uint64_t originSpan = 0;
+    /**
+     * Invoke: coordinator watch ticket (0 = untracked). Cancel: the
+     * ticket to cancel.
+     */
+    std::uint64_t ticket = 0;
+
+    static constexpr std::uint8_t kCrash = 0;
+    static constexpr std::uint8_t kInvoke = 1;
+    static constexpr std::uint8_t kCancel = 2;
+    static constexpr std::uint8_t kPrewarm = 3;
+};
+
+/**
+ * The inbox drain order: (tick, kind, seq). A crash due at an
+ * arrival instant is processed before the arrival itself. The seq
+ * tie-break is assigned globally by the coordinator, so the order
+ * never depends on the partitioning.
+ */
+inline bool
+shardInputBefore(const ShardInput& a, const ShardInput& b)
+{
+    return std::tie(a.tick, a.kind, a.seq) < std::tie(b.tick, b.kind, b.seq);
+}
+
+/** One input routed to @p node: queued for the coming window, or in
+ *  flight on the gray network. */
+struct RoutedInput
+{
+    ShardInput input;
+    std::uint32_t node = 0;
+};
 
 } // namespace rc::cluster
 

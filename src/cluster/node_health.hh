@@ -11,16 +11,17 @@
  * compares each node against the fleet *median* EWMA — a robust
  * baseline that a minority of stragglers cannot shift much.
  *
- * Quarantine FSM, evaluated at cluster barriers:
+ * Quarantine FSM, evaluated at cluster barriers (knobs are the
+ * network plan's quarantine_*):
  *
- *   Healthy ──(ewma > latencyFactor * median, ≥ minSamples)──▶
- *   Quarantined ──(drain elapses)──▶ Probation
- *   Probation ──(probeCount consecutive probes land healthy)──▶
- *   Healthy   /  ──(any probe ≥ readmitFactor * median)──▶ Quarantined
+ *   Healthy ──(ewma > latency_factor * median, ≥ min_samples)──▶
+ *   Quarantined ──(drain_seconds elapse)──▶ Probation
+ *   Probation ──(probe_count consecutive probes land healthy)──▶
+ *   Healthy   /  ──(any probe ≥ readmit_factor * median)──▶ Quarantined
  *
  * Quarantined nodes get no primary or hedge dispatches. Probation
  * nodes get a trickle: the router sends at most one in-flight probe
- * at a time, and the node must string together probeCount healthy
+ * at a time, and the node must string together probe_count healthy
  * completions to be readmitted. Readmission resets the node's sample
  * count so the stale degraded-era EWMA has to re-earn trust.
  *
@@ -36,6 +37,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fault/network_plan.hh"
 #include "sim/time.hh"
 
 namespace rc::cluster {
@@ -44,21 +46,6 @@ namespace rc::cluster {
 class NodeHealthTracker
 {
   public:
-    struct Config
-    {
-        bool enabled = false;
-        /** Quarantine when ewma > factor * fleet median. */
-        double latencyFactor = 3.0;
-        /** Completions a node needs before it can be judged. */
-        std::uint32_t minSamples = 30;
-        /** Time in Quarantined before probing starts. */
-        sim::Tick drain = 0;
-        /** Consecutive healthy probes required for readmission. */
-        std::uint32_t probeCount = 5;
-        /** A probe is healthy when latency < factor * median. */
-        double readmitFactor = 1.5;
-    };
-
     enum class State : std::uint8_t
     {
         Healthy = 0,
@@ -75,7 +62,9 @@ class NodeHealthTracker
         State to = State::Healthy;
     };
 
-    NodeHealthTracker(Config config, std::size_t nodes);
+    /** Reads the quarantine_* knobs of @p plan (a copy is kept); with
+     *  quarantine off every node stays Healthy. */
+    NodeHealthTracker(const fault::NetworkPlan& plan, std::size_t nodes);
 
     /** Feed one completion's node-side end-to-end latency. */
     void recordLatency(std::size_t node, double seconds, sim::Tick at);
@@ -124,7 +113,7 @@ class NodeHealthTracker
         return std::move(_transitions);
     }
 
-    /** Fleet median EWMA over judged nodes (0 until minSamples). */
+    /** Fleet median EWMA over judged nodes (0 until min_samples). */
     double fleetMedian() const { return _fleetMedian; }
 
     double ewma(std::size_t node) const { return _ewma[node]; }
@@ -136,7 +125,9 @@ class NodeHealthTracker
   private:
     void transition(std::size_t node, State to, sim::Tick now);
 
-    Config _config;
+    fault::NetworkPlan _plan;
+    /** Time in Quarantined before probing starts. */
+    sim::Tick _drain;
     std::vector<State> _state;
     std::vector<double> _ewma;
     std::vector<std::uint32_t> _samples;

@@ -1,15 +1,12 @@
 #include "cluster/recovery_orchestrator.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "sim/logging.hh"
 
 namespace rc::cluster {
 
 namespace {
-
-constexpr sim::Tick kNever = std::numeric_limits<sim::Tick>::max();
 
 /** Goodput buckets: fleet completions per 10 simulated seconds. */
 constexpr double kGoodputBucketSeconds = 10.0;
@@ -111,10 +108,7 @@ RecoveryOrchestrator::RecoveryOrchestrator(const fault::DomainPlan& plan,
             }
         }
     }
-    std::sort(_outageCrashes.begin(), _outageCrashes.end(),
-              [](const CrashEvent& a, const CrashEvent& b) {
-                  return a.at != b.at ? a.at < b.at : a.node < b.node;
-              });
+    std::sort(_outageCrashes.begin(), _outageCrashes.end());
     for (const CrashEvent& c : _outageCrashes) {
         if (_firstOutageAt == 0 || c.at < _firstOutageAt)
             _firstOutageAt = c.at;
@@ -211,16 +205,7 @@ RecoveryOrchestrator::grantRejoin(std::size_t node, sim::Tick grantAt,
                                   std::vector<RecoveryAction>& actions)
 {
     NodeRec& rec = _recs[node];
-    const double wait =
-        grantAt > rec.readyAt ? sim::toSeconds(grantAt - rec.readyAt)
-                              : 0.0;
-    _rejoinWaitSeconds += wait;
-    if (_obs != nullptr) {
-        _obs->counters().bump(obs::Counter::NodesRejoined, grantAt);
-        _obs->emit(grantAt, obs::EventType::NodeRejoinGranted, 0,
-                   0xffffffffU, static_cast<std::uint8_t>(node), 0,
-                   wait);
-    }
+    noteRejoin(node, grantAt);
     // Plan the census warm-up, most specialized capital first: the
     // per-function User working set (what warm starts actually need),
     // then each language's Lang containers, then Bare, truncated at
@@ -231,6 +216,15 @@ RecoveryOrchestrator::grantRejoin(std::size_t node, sim::Tick grantAt,
     rec.plannedUser = 0;
     rec.plannedTotal = 0;
     if (_plan.prewarmEnabled) {
+        const auto prewarm = [&](workload::FunctionId function,
+                                 workload::Layer layer,
+                                 std::uint32_t count) {
+            for (std::uint32_t i = 0; i < count; ++i) {
+                actions.push_back({RecoveryAction::kPrewarm, grantAt,
+                                   static_cast<std::uint32_t>(node), 0,
+                                   function, layer});
+            }
+        };
         std::uint32_t budget = _plan.prewarmMaxLayers;
         auto userCensus = rec.census.user;
         std::sort(userCensus.begin(), userCensus.end(),
@@ -242,31 +236,18 @@ RecoveryOrchestrator::grantRejoin(std::size_t node, sim::Tick grantAt,
             const std::uint32_t planned = std::min(count, budget);
             budget -= planned;
             rec.plannedUser += planned;
-            for (std::uint32_t i = 0; i < planned; ++i) {
-                actions.push_back({RecoveryAction::kPrewarm, grantAt,
-                                   static_cast<std::uint32_t>(node), 0,
-                                   function, workload::Layer::User});
-            }
+            prewarm(function, workload::Layer::User, planned);
         }
         for (std::size_t l = 0; l < workload::kLanguageCount; ++l) {
             if (_repLang[l] < 0)
                 continue; // no function of this language deployed
             rec.plannedLang[l] = std::min(rec.census.lang[l], budget);
             budget -= rec.plannedLang[l];
-            for (std::uint32_t i = 0; i < rec.plannedLang[l]; ++i) {
-                actions.push_back(
-                    {RecoveryAction::kPrewarm, grantAt,
-                     static_cast<std::uint32_t>(node), 0,
-                     static_cast<workload::FunctionId>(_repLang[l]),
-                     workload::Layer::Lang});
-            }
+            prewarm(static_cast<workload::FunctionId>(_repLang[l]),
+                    workload::Layer::Lang, rec.plannedLang[l]);
         }
         rec.plannedBare = std::min(rec.census.bare, budget);
-        for (std::uint32_t i = 0; i < rec.plannedBare; ++i) {
-            actions.push_back({RecoveryAction::kPrewarm, grantAt,
-                               static_cast<std::uint32_t>(node), 0,
-                               _repBare, workload::Layer::Bare});
-        }
+        prewarm(_repBare, workload::Layer::Bare, rec.plannedBare);
         rec.plannedTotal = rec.plannedBare + rec.plannedUser;
         for (std::size_t l = 0; l < workload::kLanguageCount; ++l)
             rec.plannedTotal += rec.plannedLang[l];
@@ -277,6 +258,21 @@ RecoveryOrchestrator::grantRejoin(std::size_t node, sim::Tick grantAt,
             grantAt + sim::fromSeconds(_plan.warmupTimeoutSeconds);
     } else {
         complete(node, grantAt);
+    }
+}
+
+void
+RecoveryOrchestrator::noteRejoin(std::size_t node, sim::Tick grantAt)
+{
+    const sim::Tick readyAt = _recs[node].readyAt;
+    const double wait =
+        grantAt > readyAt ? sim::toSeconds(grantAt - readyAt) : 0.0;
+    _rejoinWaitSeconds += wait;
+    if (_obs != nullptr) {
+        _obs->counters().bump(obs::Counter::NodesRejoined, grantAt);
+        _obs->emit(grantAt, obs::EventType::NodeRejoinGranted, 0,
+                   0xffffffffU, static_cast<std::uint8_t>(node), 0,
+                   wait);
     }
 }
 
@@ -314,18 +310,17 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
         completed += s.successes;
     const auto bucket = static_cast<std::size_t>(
         sim::toSeconds(windowStart) / kGoodputBucketSeconds);
-    if (completed > _lastCompleted) {
-        if (_goodputBuckets.size() <= bucket)
-            _goodputBuckets.resize(bucket + 1, 0);
-        _goodputBuckets[bucket] += completed - _lastCompleted;
-        _lastCompleted = completed;
-    }
-    if (offered > _lastOffered) {
-        if (_offeredBuckets.size() <= bucket)
-            _offeredBuckets.resize(bucket + 1, 0);
-        _offeredBuckets[bucket] += offered - _lastOffered;
-        _lastOffered = offered;
-    }
+    const auto sample = [bucket](std::vector<std::uint64_t>& buckets,
+                                 std::uint64_t& last, std::uint64_t now) {
+        if (now <= last)
+            return;
+        if (buckets.size() <= bucket)
+            buckets.resize(bucket + 1, 0);
+        buckets[bucket] += now - last;
+        last = now;
+    };
+    sample(_goodputBuckets, _lastCompleted, completed);
+    sample(_offeredBuckets, _lastOffered, offered);
     _lastSampleAt = windowStart;
 
     // Correlated waves striking inside this window announce
@@ -452,10 +447,7 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
         if (_plan.stagedRejoin)
             _nextTokenAt = grantAt + _tokenInterval;
         grantRejoin(n, grantAt, actions);
-        if (_recs[n].state != NodeState::Up)
-            summaries[n].recovering = 1;
-        else
-            summaries[n].recovering = 0;
+        summaries[n].recovering = _recs[n].state != NodeState::Up ? 1 : 0;
     }
 
     // Recovery backpressure: survivors tighten their belts while a
@@ -497,16 +489,7 @@ RecoveryOrchestrator::finishPending(sim::Tick now)
         }
         // Grant with the wait accrued so far; no prewarms — the
         // nodes are about to finalize.
-        const sim::Tick readyAt = rec.readyAt;
-        const double wait =
-            now > readyAt ? sim::toSeconds(now - readyAt) : 0.0;
-        _rejoinWaitSeconds += wait;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::NodesRejoined, now);
-            _obs->emit(now, obs::EventType::NodeRejoinGranted, 0,
-                       0xffffffffU, static_cast<std::uint8_t>(n), 0,
-                       wait);
-        }
+        noteRejoin(n, now);
         rec.plannedTotal = 0;
         complete(n, now);
     }

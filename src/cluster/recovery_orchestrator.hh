@@ -130,8 +130,8 @@ class RecoveryOrchestrator
         return _outageCrashes;
     }
 
-    /** Earliest tick the FSM needs a barrier at (sim::kNever-like
-     *  max() when fully idle). */
+    /** Earliest tick the FSM needs a barrier at (kNever when fully
+     *  idle). */
     sim::Tick nextActionAt() const;
 
     /** True while some node is Draining or Warming: the run loop must
@@ -221,6 +221,9 @@ class RecoveryOrchestrator
     /** Token grant: plan prewarms and enter Warming (or complete). */
     void grantRejoin(std::size_t node, sim::Tick grantAt,
                      std::vector<RecoveryAction>& actions);
+    /** Book a staged-rejoin grant: the wait since readyAt and the
+     *  NodeRejoinGranted event. */
+    void noteRejoin(std::size_t node, sim::Tick grantAt);
     void complete(std::size_t node, sim::Tick at);
     bool censusMet(const NodeRec& rec, const NodeSummary& summary) const;
 

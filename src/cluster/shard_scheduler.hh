@@ -111,8 +111,6 @@ class ShardScheduler
                              workload::FunctionId function,
                              std::size_t avoid);
 
-    Scheduling scheduling() const { return _scheduling; }
-
   private:
     static bool
     unavailable(const NodeSummary& s)

@@ -1,18 +1,26 @@
 #include "cluster/sharded_cluster.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
-#include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "sim/logging.hh"
-#include "stats/quantile_sketch.hh"
+#include "sim/shard_executor.hh"
 
 namespace rc::cluster {
 
 namespace {
+
+/**
+ * Summaries are refreshed at least this often while input remains,
+ * even across windows with no arrivals (rounded up to a whole number
+ * of lookahead windows). Bounds routing staleness on sparse traces.
+ */
+constexpr sim::Tick kMaxSummaryStaleness = sim::kSecond;
 
 /** Threads actually worth spawning for @p shards partitions. */
 std::size_t
@@ -103,29 +111,12 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
     // stays gated on the network plan. A zero-knob fault plan builds
     // none of this, draws nothing, and stays bit-identical to an
     // unplanned run.
-    if (_config.node.fault.network.active())
-        _net = &_config.node.fault.network;
-    _ticketed = _net != nullptr || _config.node.fault.domain.active();
-    if (_ticketed) {
-        // With no network plan the sampler wraps an all-zero plan: it
-        // consumes no randomness and delivers everything instantly.
-        _netSampler = std::make_unique<fault::NetworkSampler>(
-            _config.node.fault.network,
-            sim::Rng(_config.node.seed).stream("net"));
-        NodeHealthTracker::Config health;
-        if (_net != nullptr) {
-            health.enabled = _net->quarantineEnabled;
-            health.latencyFactor = _net->quarantineLatencyFactor;
-            health.minSamples = _net->quarantineMinSamples;
-            health.drain =
-                sim::fromSeconds(_net->quarantineDrainSeconds);
-            health.probeCount = _net->quarantineProbeCount;
-            health.readmitFactor = _net->quarantineReadmitFactor;
-        }
-        _health =
-            std::make_unique<NodeHealthTracker>(health, _nodes.size());
-        _functionSketches.assign(_catalog.size(),
-                                 stats::QuantileSketch());
+    const fault::FaultPlan& plan = _config.node.fault;
+    if (plan.network.active() || plan.domain.active()) {
+        _health = std::make_unique<NodeHealthTracker>(plan.network,
+                                                      _nodes.size());
+        _requests = std::make_unique<RequestTracker>(plan, _catalog.size(),
+                                                     *_health, _obs);
         for (auto& node : _nodes)
             node->enableTicketing();
     }
@@ -170,7 +161,7 @@ ShardedCluster::runShardWindow(Shard& shard, sim::Tick windowEnd)
                   return shardInputBefore(a.input, b.input);
               });
     std::size_t cursor = 0;
-    sim::Tick shardNext = std::numeric_limits<sim::Tick>::max();
+    sim::Tick shardNext = kNever;
     for (const std::size_t index : shard.nodes) {
         platform::Node& node = *_nodes[index];
         const std::size_t begin = cursor;
@@ -192,47 +183,44 @@ ShardedCluster::runShardWindow(Shard& shard, sim::Tick windowEnd)
                 continue;
             }
         }
-        {
-            for (std::size_t k = begin; k < cursor; ++k) {
-                const ShardInput& input = shard.bin[k].input;
-                node.advanceTo(input.tick);
-                if (input.kind == ShardInput::kCrash) {
-                    const auto lost = node.crashNow(input.downUntil);
-                    shard.crashLog.push_back(
-                        {input.tick, static_cast<std::uint32_t>(index),
-                         input.downUntil,
-                         static_cast<std::uint32_t>(lost.size())});
-                    // Displaced work re-enters at the next barrier,
-                    // one failover hop after the crash. The hop is
-                    // >= the lookahead by construction, so delivery
-                    // never lands inside this window.
-                    std::uint32_t i = 0;
-                    for (const auto& ticket : lost) {
-                        shard.outbox.push_back(
-                            {std::max(windowEnd,
-                                      input.tick + failoverHop),
-                             input.tick,
-                             static_cast<std::uint32_t>(index), i++,
-                             ticket.function, ticket.originSpan,
-                             ticket.ticket});
-                    }
-                } else if (input.kind == ShardInput::kInvoke) {
-                    node.invokeNow(input.function, input.originSpan,
-                                   input.ticket);
-                } else if (input.kind == ShardInput::kPrewarm) {
-                    // Census warm-up: downUntil carries the Layer.
-                    node.recoveryPrewarm(
-                        input.function,
-                        static_cast<workload::Layer>(
-                            static_cast<std::uint8_t>(input.downUntil)));
-                } else {
-                    node.cancelTicket(input.ticket);
+        for (std::size_t k = begin; k < cursor; ++k) {
+            const ShardInput& input = shard.bin[k].input;
+            node.advanceTo(input.tick);
+            if (input.kind == ShardInput::kCrash) {
+                const auto lost = node.crashNow(input.downUntil);
+                shard.crashLog.push_back(
+                    {{input.tick, index, input.downUntil},
+                     static_cast<std::uint32_t>(lost.size())});
+                // Displaced work re-enters at the next barrier,
+                // one failover hop after the crash. The hop is
+                // >= the lookahead by construction, so delivery
+                // never lands inside this window.
+                std::uint32_t i = 0;
+                for (const auto& ticket : lost) {
+                    shard.outbox.push_back(
+                        {std::max(windowEnd,
+                                  input.tick + failoverHop),
+                         input.tick,
+                         static_cast<std::uint32_t>(index), i++,
+                         ticket.function, ticket.originSpan,
+                         ticket.ticket});
                 }
+            } else if (input.kind == ShardInput::kInvoke) {
+                node.invokeNow(input.function, input.originSpan,
+                               input.ticket);
+            } else if (input.kind == ShardInput::kPrewarm) {
+                // Census warm-up: downUntil carries the Layer.
+                node.recoveryPrewarm(
+                    input.function,
+                    static_cast<workload::Layer>(
+                        static_cast<std::uint8_t>(input.downUntil)));
+            } else {
+                node.cancelTicket(input.ticket);
             }
-            // Windows are half-open: drain everything strictly
-            // before the barrier.
-            node.advanceTo(windowEnd - 1);
         }
+        // Windows are half-open: drain everything strictly
+        // before the barrier.
+        node.advanceTo(windowEnd - 1);
         // Delta capture: publish the summary only when the node's
         // change stamp moved since the last capture. An untouched
         // node's summary is bitwise what the coordinator already
@@ -335,22 +323,22 @@ ShardedCluster::run(trace::ArrivalSource& source)
         const std::uint64_t tRoute = run.clock();
         route(run);
         binInputs(run.windowEnd);
-        run.routedNs += run.clock() - tRoute;
+        run.result.routeNs += run.clock() - tRoute;
 
         // ---- parallel phase -----------------------------------------
         const std::uint64_t tParallel = run.clock();
-        run.coordNs += tParallel - tWindow;
+        run.result.coordinatorDrainNs += tParallel - tWindow;
         if (!_activeShards.empty())
             executor.runRound(_activeShards.size(), shardRound);
         const std::uint64_t tMerge = run.clock();
-        run.parallelNs += tMerge - tParallel;
+        run.result.parallelNs += tMerge - tParallel;
 
         // ---- merge phase (single-threaded, sort-once) ---------------
         mergeSummaries();
-        run.summaryNs += run.clock() - tMerge;
+        run.result.summaryCaptureNs += run.clock() - tMerge;
         mergeOutcomes(run);
         run.lastBarrier = run.windowEnd;
-        run.coordNs += run.clock() - tMerge;
+        run.result.coordinatorDrainNs += run.clock() - tMerge;
     }
 
     // Drain: no cross-shard input remains, so every node can run to
@@ -362,7 +350,7 @@ ShardedCluster::run(trace::ArrivalSource& source)
             _nodes[index]->finalize();
         }
     });
-    run.parallelNs += run.clock() - tDrain;
+    run.result.parallelNs += run.clock() - tDrain;
 
     settleAfterDrain(run);
     assemble(run);
@@ -397,39 +385,29 @@ ShardedCluster::arm(RunState& run)
             // The recovery-window latency sketch starts collecting at
             // the first correlated strike (the stream is (at, node)
             // sorted, so front() is earliest).
-            _recoveryFrom = outageCrashes.front().at;
+            _requests->setRecoveryFrom(outageCrashes.front().at);
             run.crashes.insert(run.crashes.end(), outageCrashes.begin(),
                                outageCrashes.end());
-            std::stable_sort(run.crashes.begin(), run.crashes.end(),
-                             [](const CrashEvent& a,
-                                const CrashEvent& b) {
-                                 return a.at != b.at ? a.at < b.at
-                                                     : a.node < b.node;
-                             });
+            std::stable_sort(run.crashes.begin(), run.crashes.end());
         }
     }
-    if (_net != nullptr) {
-        _degradedSchedule = fault::drawDegradedWindows(
-            *_net, _config.node.seed, _nodes.size(), horizon);
-        _partitions = fault::drawPartitionSchedule(
-            *_net, _config.node.seed, _nodes.size(), horizon);
+    if (ticketing()) {
+        _gray = std::make_unique<GrayNetwork>(
+            plan.network, _config.node.seed, _nodes.size(), horizon, _obs);
         std::vector<std::vector<platform::DegradedSpan>> perNode(
             _nodes.size());
-        for (const auto& w : _degradedSchedule) {
+        for (const auto& w : _gray->degradedWindows()) {
             perNode[w.node].push_back(
                 {w.start, w.end, w.execFactor, w.initFactor});
         }
-        for (std::size_t i = 0; i < _nodes.size(); ++i) {
-            if (!perNode[i].empty())
-                _nodes[i]->setDegradedWindows(std::move(perNode[i]));
-        }
+        for (std::size_t i = 0; i < _nodes.size(); ++i)
+            _nodes[i]->setDegradedWindows(std::move(perNode[i]));
     }
 
     // Staleness cap, rounded up to whole windows so every barrier
     // stays on the lookahead grid.
     const sim::Tick L = _lookahead;
-    run.maxStride =
-        std::max(L, (_sharded.maxSummaryStaleness + L - 1) / L * L);
+    run.maxStride = std::max(L, alignToBarrier(kMaxSummaryStaleness, L));
 
     for (std::size_t i = 0; i < _nodes.size(); ++i) {
         _summaries[i] = captureSummary(*_nodes[i]);
@@ -448,50 +426,28 @@ sim::Tick
 ShardedCluster::nextWakeUp(const RunState& run) const
 {
     const sim::Tick L = _lookahead;
-    sim::Tick next = kNever;
-    if (!run.source.done())
-        next = std::min(next, run.source.peek().time);
-    if (run.crashIdx < run.crashes.size())
-        next = std::min(next, run.crashes[run.crashIdx].at);
-    if (run.failIdx < run.pendingFailover.size())
-        next = std::min(next, run.pendingFailover[run.failIdx].deliverAt);
-    if (_deliveryIdx < _pendingDeliveries.size())
-        next = std::min(next, _pendingDeliveries[_deliveryIdx].deliverAt);
+    const std::array<sim::Tick, 4> due = inputsDue(run);
+    sim::Tick next = *std::min_element(due.begin(), due.end());
     bool nodeProgress = false;
     if (ticketing()) {
-        // Partition flips and outstanding ticket watches (hedge
-        // deadlines, pending cancels) keep the barrier grid stepping
-        // even with no routable input left.
-        if (_partitionIdx < _partitions.size())
-            next = std::min(next, _partitions[_partitionIdx].start);
-        for (const std::size_t pi : _activePartitions) {
-            // A partition lifts at the first barrier at or after its
-            // end (applyPartitions tests end <= windowStart), so
-            // propose that grid point — proposing the raw end tick
-            // would floor back into a window that can never clear it.
-            next = std::min(next, alignToBarrier(_partitions[pi].end, L));
-        }
-        if (!_watches.empty()) {
-            // Wake at the next instant the coordinator can act on a
-            // watch: a queued cancel input (pushed at the last
-            // barrier), the next node event (the earliest a new ticket
-            // outcome can surface), or the earliest hedge deadline.
-            // All three read per-node / coordinator state only, so the
-            // barrier schedule — and with it hedge timing — is
-            // identical at any shard count.
-            nodeProgress = true;
-            if (_net != nullptr && _net->hedgeEnabled) {
-                for (const auto& [ticket, watch] : _watches) {
-                    next = std::min(next, std::max(hedgeDeadline(watch),
-                                                   run.lastBarrier));
-                }
-            }
-        }
+        // Partition flips, retry feedback and outstanding ticket
+        // watches (hedge deadlines, pending cancels) keep the barrier
+        // grid stepping even with no routable input left.
+        next = std::min({next, _gray->nextPartitionFlipAt(L),
+                         _requests->nextActionAt(run.lastBarrier)});
+        // With a watch open, wake at the next instant the coordinator
+        // can act on it: a queued cancel input (pushed at the last
+        // barrier), the next node event (the earliest a new ticket
+        // outcome can surface), or the earliest hedge deadline. All
+        // three read per-node / coordinator state only, so the barrier
+        // schedule — and with it hedge timing — is identical at any
+        // shard count.
+        nodeProgress = !_requests->idle();
     }
     if (_recovery != nullptr) {
         // Recovery deadlines gate on windowStart >= deadline, so
         // propose the grid point at-or-after them (the same trap as
-        // partition ends above).
+        // partition ends).
         const sim::Tick recoveryAt = _recovery->nextActionAt();
         if (recoveryAt != kNever)
             next = std::min(next, alignToBarrier(recoveryAt, L));
@@ -510,8 +466,6 @@ ShardedCluster::nextWakeUp(const RunState& run) const
                                       : run.lastBarrier);
         }
     }
-    if (_feedbackIdx < _feedbackQueue.size())
-        next = std::min(next, _feedbackQueue[_feedbackIdx].at);
     return next;
 }
 
@@ -520,8 +474,9 @@ ShardedCluster::preRoute(RunState& run)
 {
     refreshBreakers(run.windowStart);
     if (ticketing()) {
-        applyPartitions(run.windowStart, run.windowEnd, run.result);
-        emitDegradedEvents(run.windowEnd);
+        _gray->applyPartitions(run.windowStart, run.windowEnd, _summaries,
+                               run.result);
+        _gray->emitDegradedEvents(run.windowEnd);
         _health->refresh(run.windowStart);
         emitHealthTransitions();
     }
@@ -531,9 +486,10 @@ ShardedCluster::preRoute(RunState& run)
     // pre-failure summaries.
     if (_recovery != nullptr)
         applyRecovery(run.windowStart, run.windowEnd, run.seq);
-    if (_net != nullptr)
-        launchHedges(run.windowStart, run.windowEnd, run.seq, run.result);
-    drainFeedbackRetries(run.windowEnd, run.seq);
+    if (ticketing()) {
+        launchHedges(run);
+        drainFeedbackRetries(run);
+    }
 }
 
 void
@@ -544,21 +500,8 @@ ShardedCluster::route(RunState& run)
     // failover re-issues, which outrank parked deliveries, which
     // outrank fresh arrivals.
     while (true) {
-        const sim::Tick crashAt = run.crashIdx < run.crashes.size()
-                                      ? run.crashes[run.crashIdx].at
-                                      : kNever;
-        const sim::Tick failAt =
-            run.failIdx < run.pendingFailover.size()
-                ? run.pendingFailover[run.failIdx].deliverAt
-                : kNever;
-        const sim::Tick deliverAt =
-            _deliveryIdx < _pendingDeliveries.size()
-                ? _pendingDeliveries[_deliveryIdx].deliverAt
-                : kNever;
-        const sim::Tick arriveAt =
-            !run.source.done() ? run.source.peek().time : kNever;
-        const sim::Tick due = std::min(std::min(crashAt, deliverAt),
-                                       std::min(failAt, arriveAt));
+        const auto [crashAt, failAt, deliverAt, arriveAt] = inputsDue(run);
+        const sim::Tick due = std::min({crashAt, failAt, deliverAt, arriveAt});
         if (due >= run.windowEnd)
             break;
         if (crashAt == due) {
@@ -571,31 +514,30 @@ ShardedCluster::route(RunState& run)
                        {ev.at, run.seq++, workload::kInvalidFunction,
                         ev.downUntil, ShardInput::kCrash});
         } else if (failAt == due) {
-            routeFailover(run, run.pendingFailover[run.failIdx++]);
+            const FailoverItem item = run.failover.top();
+            run.failover.pop();
+            routeFailover(run, item);
         } else if (deliverAt == due) {
-            const Delivery& d = _pendingDeliveries[_deliveryIdx++];
-            queueInput(d.node, {d.deliverAt, run.seq++, d.function, 0,
-                                ShardInput::kInvoke, d.originSpan,
-                                d.ticket});
+            // A parked invoke takes its inbox sequence when it lands.
+            RoutedInput parked = _gray->popDelivery();
+            parked.input.seq = run.seq++;
+            queueInput(parked.node, parked.input);
         } else {
             const trace::Arrival arrival = run.source.peek();
             run.source.pop();
             routeArrival(run, arrival);
         }
     }
-    if (ticketing() && _deliveryIdx < _pendingDeliveries.size()) {
-        // New sends may have parked out-of-order relative to the
-        // undelivered backlog; one sort restores (deliverAt, sendSeq)
-        // before the next window reads the front.
-        std::sort(_pendingDeliveries.begin() +
-                      static_cast<std::ptrdiff_t>(_deliveryIdx),
-                  _pendingDeliveries.end(),
-                  [](const Delivery& a, const Delivery& b) {
-                      if (a.deliverAt != b.deliverAt)
-                          return a.deliverAt < b.deliverAt;
-                      return a.sendSeq < b.sendSeq;
-                  });
-    }
+}
+
+std::array<sim::Tick, 4>
+ShardedCluster::inputsDue(const RunState& run) const
+{
+    return {run.crashIdx < run.crashes.size() ? run.crashes[run.crashIdx].at
+                                              : kNever,
+            run.failover.empty() ? kNever : run.failover.top().deliverAt,
+            _gray != nullptr ? _gray->nextDeliveryAt() : kNever,
+            run.source.done() ? kNever : run.source.peek().time};
 }
 
 void
@@ -612,12 +554,8 @@ ShardedCluster::routeFailover(RunState& run, const FailoverItem& item)
     }
     // The re-issued attempt keeps its ticket; the watch follows it to
     // the new node.
-    if (Watch* watch = item.ticket != 0 ? watchOf(item.ticket) : nullptr) {
-        if (item.ticket == watch->hedgeTicket)
-            watch->hedgeNode = static_cast<std::uint32_t>(target);
-        else
-            watch->primaryNode = static_cast<std::uint32_t>(target);
-    }
+    if (item.ticket != 0)
+        _requests->moved(item.ticket, static_cast<std::uint32_t>(target));
     queueInput(target, {item.deliverAt, run.seq++, item.function, 0,
                         ShardInput::kInvoke, item.originSpan,
                         item.ticket});
@@ -655,7 +593,6 @@ ShardedCluster::routeArrival(RunState& run, const trace::Arrival& arrival)
         return;
     }
     if (probe) {
-        _health->noteProbeSent(target);
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::NodeProbes, arrival.time);
             _obs->emit(arrival.time, obs::EventType::NodeProbed, 0,
@@ -670,45 +607,27 @@ ShardedCluster::routeArrival(RunState& run, const trace::Arrival& arrival)
             if (_summaries[i].down == 0 && _summaries[i].tripped == 0 &&
                 _summaries[i].severed == 0 &&
                 _summaries[i].quarantined == 0) {
-                ++_quarantineViolations;
+                ++run.result.quarantineViolations;
                 break;
             }
         }
     }
-    Watch watch;
-    watch.function = arrival.function;
-    watch.arrival = arrival.time;
-    watch.sentAt = arrival.time;
-    watch.primaryNode = static_cast<std::uint32_t>(target);
-    watch.isProbe = probe;
-    const std::uint64_t ticket = openWatch(watch);
-    if (probe)
-        _probeTickets.emplace(ticket, static_cast<std::uint32_t>(target));
-    sendInvoke(target, arrival.function, 0, ticket, arrival.time,
-               run.windowEnd, run.seq);
+    dispatchTicketed(run, target, arrival.function, arrival.time, probe, 0);
 }
 
 void
 ShardedCluster::binInputs(sim::Tick windowEnd)
 {
-    // One batch pass routes the whole window into per-shard bins,
-    // with capacity reserved from the previous window's high-water
-    // mark so steady-state windows never reallocate; the worker
+    // One batch pass routes the whole window into per-shard bins; a
+    // bin keeps its capacity across windows (the worker only clears
+    // it), so steady-state windows never reallocate. The worker
     // regroups its bin by node with a single sort.
     const std::size_t shardCount = _shards.size();
-    if (!_routeScratch.empty()) {
-        for (Shard& shard : _shards)
-            shard.bin.reserve(shard.binHighWater);
-        for (const RoutedInput& r : _routeScratch) {
-            _shards[r.node % shardCount].bin.push_back(r);
-            _pendingInputs[r.node] = 0;
-        }
-        for (Shard& shard : _shards) {
-            shard.binHighWater =
-                std::max(shard.binHighWater, shard.bin.size());
-        }
-        _routeScratch.clear();
+    for (const RoutedInput& r : _routeScratch) {
+        _shards[r.node % shardCount].bin.push_back(r);
+        _pendingInputs[r.node] = 0;
     }
+    _routeScratch.clear();
     // Shards with no input and no due node events would only run
     // every node's idle fast path; skip them wholesale. The test knob
     // forces full participation so identity tests exercise the
@@ -755,10 +674,7 @@ ShardedCluster::mergeOutcomes(RunState& run)
                            shard.crashLog.end());
         shard.crashLog.clear();
     }
-    std::sort(run.crashed.begin(), run.crashed.end(),
-              [](const CrashRecord& a, const CrashRecord& b) {
-                  return a.at != b.at ? a.at < b.at : a.node < b.node;
-              });
+    std::sort(run.crashed.begin(), run.crashed.end());
     for (const CrashRecord& record : run.crashed) {
         ++run.result.nodeCrashes;
         if (_obs != nullptr) {
@@ -769,41 +685,16 @@ ShardedCluster::mergeOutcomes(RunState& run)
                        static_cast<double>(record.lost));
         }
     }
-    // Outboxes: displaced work queues for re-routing, ordered by
-    // (crash tick, node, position) — again partition-independent.
-    std::vector<FailoverItem>& pending = run.pendingFailover;
-    pending.erase(pending.begin(),
-                  pending.begin() + static_cast<std::ptrdiff_t>(run.failIdx));
-    run.failIdx = 0;
-    bool grew = false;
+    // Outboxes: displaced work queues for re-routing; the heap keeps
+    // it in (deliverAt, crash tick, node, position) order — again
+    // partition-independent.
     for (Shard& shard : _shards) {
-        if (!shard.outbox.empty()) {
-            pending.insert(pending.end(), shard.outbox.begin(),
-                           shard.outbox.end());
-            shard.outbox.clear();
-            grew = true;
-        }
+        for (const FailoverItem& item : shard.outbox)
+            run.failover.push(item);
+        shard.outbox.clear();
     }
-    if (grew) {
-        std::sort(pending.begin(), pending.end(),
-                  [](const FailoverItem& a, const FailoverItem& b) {
-                      if (a.deliverAt != b.deliverAt)
-                          return a.deliverAt < b.deliverAt;
-                      if (a.crashAt != b.crashAt)
-                          return a.crashAt < b.crashAt;
-                      if (a.fromNode != b.fromNode)
-                          return a.fromNode < b.fromNode;
-                      return a.index < b.index;
-                  });
-    }
-    if (ticketing()) {
-        _pendingDeliveries.erase(
-            _pendingDeliveries.begin(),
-            _pendingDeliveries.begin() +
-                static_cast<std::ptrdiff_t>(_deliveryIdx));
-        _deliveryIdx = 0;
-        processOutcomes(run.windowEnd, run.seq, run.result);
-    }
+    if (ticketing())
+        settleOutcomes(run, run.windowEnd);
 }
 
 void
@@ -815,10 +706,10 @@ ShardedCluster::settleAfterDrain(RunState& run)
         // remaining hedge pairs. Cancels it would issue have no window
         // left to run in — their losers are already terminal in this
         // same batch — so drop the dead inbox inputs.
-        processOutcomes(run.lastBarrier, run.seq, run.result);
+        settleOutcomes(run, run.lastBarrier);
         _routeScratch.clear();
         std::fill(_pendingInputs.begin(), _pendingInputs.end(), 0);
-        emitDegradedEvents(kNever);
+        _gray->emitDegradedEvents(kNever);
         emitHealthTransitions();
     }
     if (_recovery != nullptr) {
@@ -826,7 +717,6 @@ ShardedCluster::settleAfterDrain(RunState& run)
         // identities hold however the horizon cut the schedule.
         _recovery->finishPending(run.lastBarrier);
         _recovery->report(run.result);
-        run.result.retriesFeedback = _retriesFeedback;
     }
 }
 
@@ -878,27 +768,11 @@ ShardedCluster::assemble(RunState& run)
         result.e2eP99Seconds = e2eSketch.p99();
     }
     if (ticketing()) {
-        // Under hedging the node-level sketch double-counts duplicate
-        // attempts; the request-level sketch (winner per ticket) is
-        // the meaningful latency distribution, so it supplies the
-        // percentiles instead.
-        if (_requestSketch.count() > 0) {
-            result.e2eP50Seconds = _requestSketch.median();
-            result.e2eP99Seconds = _requestSketch.p99();
-            result.e2eP999Seconds = _requestSketch.quantile(0.999);
-        }
-        if (_recoverySketch.count() > 0) {
-            result.recoveryP99Seconds = _recoverySketch.p99();
-            result.recoveryP999Seconds = _recoverySketch.quantile(0.999);
-        }
-        if (_health != nullptr) {
-            result.quarantines = _health->quarantines();
-            result.probes = _health->probes();
-            result.readmits = _health->readmits();
-        }
-        result.msgsDelayed = _msgsDelayed;
-        result.msgsDropped = _msgsDropped;
-        result.quarantineViolations = _quarantineViolations;
+        _requests->report(result);
+        _gray->report(result);
+        result.quarantines = _health->quarantines();
+        result.probes = _health->probes();
+        result.readmits = _health->readmits();
     }
     // Merge the per-node span buffers into the routing observer. Span
     // identities embed (node, local seq), and absorbSpans sorts on
@@ -915,129 +789,96 @@ ShardedCluster::assemble(RunState& run)
         _obs->absorbSpans(std::move(all), dropped, run.horizon);
     }
     if (run.timing) {
-        result.coordinatorDrainNs = run.coordNs;
-        result.routeNs = run.routedNs;
-        result.summaryCaptureNs = run.summaryNs;
-        result.parallelNs = run.parallelNs;
-        if (run.coordNs + run.parallelNs > 0) {
+        const std::uint64_t coordNs = result.coordinatorDrainNs;
+        if (coordNs + result.parallelNs > 0) {
             result.serialFraction =
-                static_cast<double>(run.coordNs) /
-                static_cast<double>(run.coordNs + run.parallelNs);
+                static_cast<double>(coordNs) /
+                static_cast<double>(coordNs + result.parallelNs);
         }
         if (_obs != nullptr) {
             obs::Registry& counters = _obs->counters();
             counters.gaugeMax(obs::Gauge::CoordinatorDrainNs,
-                              static_cast<double>(run.coordNs));
+                              static_cast<double>(coordNs));
             counters.gaugeMax(obs::Gauge::RouteNs,
-                              static_cast<double>(run.routedNs));
+                              static_cast<double>(result.routeNs));
             counters.gaugeMax(obs::Gauge::SummaryCaptureNs,
-                              static_cast<double>(run.summaryNs));
+                              static_cast<double>(result.summaryCaptureNs));
         }
     }
 }
 
-// ---- gray network / tail tolerance (coordinator only) ------------------
+// ---- ticketed dispatch (coordinator only) -------------------------------
 
 void
-ShardedCluster::sendInvoke(std::size_t node, workload::FunctionId function,
-                           std::uint64_t originSpan, std::uint64_t ticket,
-                           sim::Tick sendAt, sim::Tick windowEnd,
-                           std::uint64_t& seq)
+ShardedCluster::dispatchTicketed(RunState& run, std::size_t node,
+                                 workload::FunctionId function, sim::Tick at,
+                                 bool probe, std::uint32_t feedbackAttempt)
 {
-    const fault::NetworkSampler::Delivery link = _netSampler->sample();
-    if (link.delay > 0) {
-        ++_msgsDelayed;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::MsgsDelayed, sendAt);
-            _obs->emit(sendAt, obs::EventType::MsgDelayed, 0, function,
-                       static_cast<std::uint8_t>(node), 0,
-                       sim::toSeconds(link.delay));
-        }
-    }
-    if (link.drops > 0) {
-        _msgsDropped += link.drops;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::MsgsDropped, sendAt,
-                                  link.drops);
-            _obs->emit(sendAt, obs::EventType::MsgDropped, 0, function,
-                       static_cast<std::uint8_t>(node),
-                       static_cast<std::uint8_t>(
-                           std::min<std::uint32_t>(link.drops, 255)),
-                       sim::toSeconds(link.delay));
-        }
-    }
-    const sim::Tick deliverAt = sendAt + link.delay;
-    if (deliverAt < windowEnd) {
-        queueInput(node, {deliverAt, seq++, function, 0,
-                          ShardInput::kInvoke, originSpan, ticket});
-    } else {
-        // Crosses the barrier: park it; nextWakeUp and route() pick
-        // it up in (deliverAt, sendSeq) order.
-        _pendingDeliveries.push_back(
-            {deliverAt, seq++, static_cast<std::uint32_t>(node), function,
-             originSpan, ticket});
+    const std::uint64_t ticket =
+        _requests->open(function, at, static_cast<std::uint32_t>(node),
+                        probe, feedbackAttempt);
+    send(run, node, function, 0, ticket, at);
+}
+
+void
+ShardedCluster::send(RunState& run, std::size_t node,
+                     workload::FunctionId function, std::uint64_t originSpan,
+                     std::uint64_t ticket, sim::Tick at)
+{
+    const ShardInput invoke{at, run.seq++, function, 0, ShardInput::kInvoke,
+                            originSpan, ticket};
+    if (const auto due = _gray->send(
+            {invoke, static_cast<std::uint32_t>(node)}, run.windowEnd))
+        queueInput(node, due->input);
+}
+
+void
+ShardedCluster::launchHedges(RunState& run)
+{
+    // Due hedges come in primary-ticket (issue) order, so the pick and
+    // sampler draw order is a pure function of coordinator state.
+    const sim::Tick now = run.windowStart;
+    for (const RequestTracker::DueHedge& due : _requests->dueHedges(now)) {
+        const std::size_t target = _scheduler.pickAvoiding(
+            _summaries, due.function, due.primaryNode);
+        // pickAvoiding falls back to the primary when nothing else is
+        // reachable; hedging onto the same node (or a straggler) is
+        // worse than waiting, so skip and re-try next barrier.
+        if (target == due.primaryNode || _health->quarantined(target))
+            continue;
+        const std::uint64_t ticket = _requests->launchHedge(
+            due.primaryTicket, static_cast<std::uint32_t>(target), now,
+            run.result);
+        send(run, target, due.function, due.rootSpan, ticket, now);
     }
 }
 
 void
-ShardedCluster::applyPartitions(sim::Tick windowStart, sim::Tick windowEnd,
-                                ClusterResult& result)
+ShardedCluster::settleOutcomes(RunState& run, sim::Tick barrier)
 {
-    for (auto it = _activePartitions.begin();
-         it != _activePartitions.end();) {
-        const fault::PartitionEvent& ev = _partitions[*it];
-        if (ev.end <= windowStart) {
-            for (const std::uint32_t n : ev.nodes)
-                _summaries[n].severed = 0;
-            if (_obs != nullptr) {
-                _obs->emit(ev.end, obs::EventType::PartitionEnd, 0,
-                           0xffffffffU,
-                           static_cast<std::uint8_t>(ev.nodes.size()));
-            }
-            it = _activePartitions.erase(it);
-        } else {
-            ++it;
-        }
+    // Drain per node in node-index order; the tracker imposes the
+    // global (at, ticket, kind) order — both independent of the
+    // sharding.
+    _outcomeScratch.clear();
+    for (std::size_t i = 0; i < _nodes.size(); ++i) {
+        for (const platform::TicketOutcome& outcome :
+             _nodes[i]->drainTicketOutcomes())
+            _outcomeScratch.push_back(
+                {outcome, static_cast<std::uint32_t>(i)});
     }
-    while (_partitionIdx < _partitions.size() &&
-           _partitions[_partitionIdx].start < windowEnd) {
-        const fault::PartitionEvent& ev = _partitions[_partitionIdx];
-        for (const std::uint32_t n : ev.nodes)
-            _summaries[n].severed = 1;
-        ++result.partitions;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::PartitionsStarted,
-                                  ev.start);
-            _obs->emit(ev.start, obs::EventType::PartitionStart, 0,
-                       0xffffffffU,
-                       static_cast<std::uint8_t>(ev.nodes.size()), 0,
-                       sim::toSeconds(ev.end - ev.start));
-        }
-        _activePartitions.push_back(_partitionIdx);
-        ++_partitionIdx;
-    }
-}
-
-void
-ShardedCluster::emitDegradedEvents(sim::Tick end)
-{
-    while (_degradedEmitted < _degradedSchedule.size() &&
-           _degradedSchedule[_degradedEmitted].start < end) {
-        const fault::DegradedWindow& w =
-            _degradedSchedule[_degradedEmitted++];
-        if (_obs != nullptr) {
-            _obs->emit(w.start, obs::EventType::NodeDegraded, 0,
-                       0xffffffffU, static_cast<std::uint8_t>(w.node), 0,
-                       sim::toSeconds(w.end - w.start), w.execFactor);
-        }
+    // A loser may live on any shard, so its cancel routes like any
+    // input, at the barrier.
+    for (const RequestTracker::Cancel& cancel :
+         _requests->settle(_outcomeScratch, run.result)) {
+        queueInput(cancel.node, {barrier, run.seq++,
+                                 workload::kInvalidFunction, 0,
+                                 ShardInput::kCancel, 0, cancel.ticket});
     }
 }
 
 void
 ShardedCluster::emitHealthTransitions()
 {
-    if (_health == nullptr)
-        return;
     for (const NodeHealthTracker::Transition& tr :
          _health->drainTransitions()) {
         // The summary table tracks quarantine by transition delta:
@@ -1067,307 +908,25 @@ ShardedCluster::emitHealthTransitions()
     }
 }
 
-sim::Tick
-ShardedCluster::hedgeDeadline(const Watch& watch) const
-{
-    if (watch.resolved || watch.hedgeTicket != 0 || watch.isProbe ||
-        watch.primaryDone)
-        return kNever;
-    const stats::QuantileSketch& sketch = _functionSketches[watch.function];
-    if (sketch.count() < _net->hedgeMinSamples)
-        return kNever;
-    const double budgetSeconds =
-        std::max(sketch.p99() * _net->hedgeLatencyFactor,
-                 _net->hedgeMinBudgetMs / 1000.0);
-    return watch.sentAt + sim::fromSeconds(budgetSeconds);
-}
-
-std::uint64_t
-ShardedCluster::openWatch(Watch watch)
-{
-    const std::uint64_t ticket = _nextTicket++;
-    watch.primaryTicket = ticket;
-    _watches.emplace(ticket, watch);
-    _ticketToPrimary.emplace(ticket, ticket);
-    return ticket;
-}
-
 void
-ShardedCluster::launchHedges(sim::Tick now, sim::Tick windowEnd,
-                             std::uint64_t& seq, ClusterResult& result)
+ShardedCluster::drainFeedbackRetries(RunState& run)
 {
-    if (!_net->hedgeEnabled)
-        return;
-    // _watches is ordered by primary ticket = issue order, so the scan
-    // order (and thus the sampler draw order in sendInvoke) is a pure
-    // function of coordinator state.
-    for (auto& [primaryTicket, watch] : _watches) {
-        if (now < hedgeDeadline(watch))
-            continue;
-        const std::size_t target = _scheduler.pickAvoiding(
-            _summaries, watch.function, watch.primaryNode);
-        // pickAvoiding falls back to the primary when nothing else is
-        // reachable; hedging onto the same node (or a straggler) is
-        // worse than waiting, so skip and re-try next barrier.
-        if (target == watch.primaryNode || _health->quarantined(target))
-            continue;
-        watch.hedgeTicket = _nextTicket++;
-        watch.hedgeNode = static_cast<std::uint32_t>(target);
-        _ticketToPrimary.emplace(watch.hedgeTicket, primaryTicket);
-        ++result.hedgesLaunched;
+    while (const auto retry = _requests->popRetry(run.windowEnd)) {
+        const std::size_t target =
+            _scheduler.pick(_summaries, retry->function);
+        ++run.result.retriesFeedback;
+        ++_offeredLoad;
         if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::HedgesLaunched, now);
-            _obs->emit(now, obs::EventType::HedgeLaunched,
-                       watch.primaryRoot, watch.function,
-                       static_cast<std::uint8_t>(target),
-                       static_cast<std::uint8_t>(watch.primaryNode),
-                       sim::toSeconds(now - watch.sentAt));
+            _obs->counters().bump(obs::Counter::RecoveryRetries,
+                                  retry->at);
+            _obs->emit(retry->at, obs::EventType::RecoveryRetry, 0,
+                       retry->function, static_cast<std::uint8_t>(target),
+                       static_cast<std::uint8_t>(
+                           std::min<std::uint32_t>(retry->attempt, 255)));
         }
-        sendInvoke(target, watch.function, watch.primaryRoot,
-                   watch.hedgeTicket, now, windowEnd, seq);
+        dispatchTicketed(run, target, retry->function, retry->at, false,
+                         retry->attempt);
     }
-}
-
-void
-ShardedCluster::noteSideDone(Watch& watch, bool hedgeSide,
-                             ClusterResult& result, sim::Tick at)
-{
-    if (hedgeSide) {
-        if (watch.hedgeDone)
-            return;
-        watch.hedgeDone = true;
-        // A hedge that turned terminal without winning is a lost
-        // hedge: the speculation bought nothing.
-        ++result.hedgesLost;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::HedgesLost, at);
-            _obs->emit(at, obs::EventType::HedgeLost, watch.primaryRoot,
-                       watch.function,
-                       static_cast<std::uint8_t>(watch.hedgeNode));
-        }
-    } else {
-        watch.primaryDone = true;
-    }
-}
-
-void
-ShardedCluster::eraseWatchIfComplete(std::uint64_t primaryTicket)
-{
-    const auto it = _watches.find(primaryTicket);
-    if (it == _watches.end())
-        return;
-    const Watch& watch = it->second;
-    const bool hedgeDone =
-        watch.hedgeTicket == 0 || watch.hedgeDone;
-    if (!watch.primaryDone || !hedgeDone)
-        return;
-    _ticketToPrimary.erase(watch.primaryTicket);
-    if (watch.hedgeTicket != 0)
-        _ticketToPrimary.erase(watch.hedgeTicket);
-    _probeTickets.erase(watch.primaryTicket);
-    _watches.erase(it);
-}
-
-void
-ShardedCluster::processOutcomes(sim::Tick barrier, std::uint64_t& seq,
-                                ClusterResult& result)
-{
-    // Drain per node in node-index order, then impose the global
-    // (at, ticket, kind) order — both independent of the sharding.
-    // The batch lives in a member scratch vector so its capacity is
-    // reused across windows.
-    std::vector<TaggedOutcome>& batch = _outcomeScratch;
-    batch.clear();
-    for (std::size_t i = 0; i < _nodes.size(); ++i) {
-        for (const platform::TicketOutcome& outcome :
-             _nodes[i]->drainTicketOutcomes())
-            batch.push_back({outcome, static_cast<std::uint32_t>(i)});
-    }
-    if (batch.empty())
-        return;
-    std::sort(batch.begin(), batch.end(),
-              [](const TaggedOutcome& a, const TaggedOutcome& b) {
-                  if (a.outcome.at != b.outcome.at)
-                      return a.outcome.at < b.outcome.at;
-                  if (a.outcome.ticket != b.outcome.ticket)
-                      return a.outcome.ticket < b.outcome.ticket;
-                  return a.outcome.kind < b.outcome.kind;
-              });
-    for (const TaggedOutcome& tagged : batch) {
-        switch (tagged.outcome.kind) {
-          case platform::TicketOutcome::kAdmitted:
-            onAdmitted(tagged, barrier, seq);
-            break;
-          case platform::TicketOutcome::kCompleted:
-            onCompleted(tagged, barrier, seq, result);
-            break;
-          case platform::TicketOutcome::kCancelled:
-            onCancelled(tagged.outcome, result);
-            break;
-          default: // kFailed / kShed
-            onAttemptDied(tagged.outcome, result);
-            break;
-        }
-    }
-}
-
-ShardedCluster::Watch*
-ShardedCluster::watchOf(std::uint64_t ticket)
-{
-    const auto it = _ticketToPrimary.find(ticket);
-    return it == _ticketToPrimary.end() ? nullptr
-                                        : &_watches.at(it->second);
-}
-
-void
-ShardedCluster::issueCancel(std::uint32_t node, std::uint64_t ticket,
-                            sim::Tick barrier, std::uint64_t& seq)
-{
-    queueInput(node, {barrier, seq++, workload::kInvalidFunction, 0,
-                      ShardInput::kCancel, 0, ticket});
-}
-
-void
-ShardedCluster::abortProbe(std::uint64_t ticket)
-{
-    const auto it = _probeTickets.find(ticket);
-    if (it != _probeTickets.end()) {
-        _health->noteProbeAborted(it->second);
-        _probeTickets.erase(it);
-    }
-}
-
-void
-ShardedCluster::onAdmitted(const TaggedOutcome& tagged, sim::Tick barrier,
-                           std::uint64_t& seq)
-{
-    const platform::TicketOutcome& o = tagged.outcome;
-    Watch* found = watchOf(o.ticket);
-    if (found == nullptr)
-        return;
-    Watch& watch = *found;
-    const bool hedgeSide = o.ticket == watch.hedgeTicket;
-    if (hedgeSide) {
-        watch.hedgeAdmitted = true;
-    } else {
-        watch.primaryAdmitted = true;
-        if (watch.primaryRoot == 0)
-            watch.primaryRoot = o.rootSpan;
-    }
-    // The winner committed while this loser was still in flight: the
-    // deferred cancel lands now that the node holds the ticket.
-    const bool sideDone = hedgeSide ? watch.hedgeDone : watch.primaryDone;
-    if (watch.resolved && !sideDone) {
-        issueCancel(tagged.node, o.ticket, barrier, seq);
-        watch.cancelIssued = true;
-    }
-}
-
-void
-ShardedCluster::onCompleted(const TaggedOutcome& tagged, sim::Tick barrier,
-                            std::uint64_t& seq, ClusterResult& result)
-{
-    const platform::TicketOutcome& o = tagged.outcome;
-    // Health + budget feeds see every completion, including
-    // duplicates — the node really did take that long.
-    if (_health != nullptr)
-        _health->recordLatency(tagged.node, o.latencySeconds, o.at);
-    result.totalExecSeconds += o.execSeconds;
-    Watch* found = watchOf(o.ticket);
-    if (found == nullptr)
-        return;
-    Watch& watch = *found;
-    const bool hedgeSide = o.ticket == watch.hedgeTicket;
-    _functionSketches[watch.function].add(o.latencySeconds);
-    if (watch.resolved) {
-        // Both sides completed: the cancel raced the loser's finish.
-        // All of its execution is waste.
-        ++result.duplicateCompletions;
-        result.wastedExecSeconds += o.execSeconds;
-        noteSideDone(watch, hedgeSide, result, o.at);
-        eraseWatchIfComplete(watch.primaryTicket);
-        return;
-    }
-    // First winner commits the request.
-    watch.resolved = true;
-    watch.e2eSeconds = sim::toSeconds(o.at - watch.arrival);
-    _requestSketch.add(watch.e2eSeconds);
-    if (o.at >= _recoveryFrom)
-        _recoverySketch.add(watch.e2eSeconds);
-    if (hedgeSide) {
-        watch.hedgeDone = true;
-        ++result.hedgesWon;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::HedgesWon, o.at);
-            _obs->emit(o.at, obs::EventType::HedgeWon, watch.primaryRoot,
-                       watch.function,
-                       static_cast<std::uint8_t>(tagged.node));
-        }
-    } else {
-        watch.primaryDone = true;
-    }
-    // Deterministic loser cancellation. Every dispatch is always
-    // delivered (messages delay, never vanish), so admitted ==
-    // arrivals + rerouted + hedges_launched stays an exact identity:
-    // the cancel goes to the loser's node if it has admitted, and is
-    // deferred to its kAdmitted otherwise.
-    const bool loserIsHedge = !hedgeSide;
-    const bool loserLive =
-        loserIsHedge ? (watch.hedgeTicket != 0 && !watch.hedgeDone)
-                     : !watch.primaryDone;
-    const bool loserAdmitted =
-        loserIsHedge ? watch.hedgeAdmitted : watch.primaryAdmitted;
-    if (loserLive && !watch.cancelIssued && loserAdmitted) {
-        issueCancel(loserIsHedge ? watch.hedgeNode : watch.primaryNode,
-                    loserIsHedge ? watch.hedgeTicket : watch.primaryTicket,
-                    barrier, seq);
-        watch.cancelIssued = true;
-    }
-    eraseWatchIfComplete(watch.primaryTicket);
-}
-
-void
-ShardedCluster::onCancelled(const platform::TicketOutcome& o,
-                            ClusterResult& result)
-{
-    result.wastedExecSeconds += o.execSeconds;
-    abortProbe(o.ticket);
-    Watch* found = watchOf(o.ticket);
-    if (found == nullptr)
-        return;
-    Watch& watch = *found;
-    if (o.ticket != watch.hedgeTicket) {
-        watch.primaryDone = true;
-    } else if (!watch.hedgeDone) {
-        watch.hedgeDone = true;
-        ++result.hedgesCancelled;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::HedgesCancelled, o.at);
-            _obs->emit(o.at, obs::EventType::HedgeCancelled,
-                       watch.primaryRoot, watch.function,
-                       static_cast<std::uint8_t>(watch.hedgeNode));
-        }
-    }
-    eraseWatchIfComplete(watch.primaryTicket);
-}
-
-void
-ShardedCluster::onAttemptDied(const platform::TicketOutcome& o,
-                              ClusterResult& result)
-{
-    abortProbe(o.ticket);
-    Watch* found = watchOf(o.ticket);
-    if (found == nullptr)
-        return;
-    Watch& watch = *found;
-    noteSideDone(watch, o.ticket == watch.hedgeTicket, result, o.at);
-    // Every attempt is terminal and none completed: the request failed
-    // at the client, which re-submits after its backoff when retry
-    // feedback is armed.
-    if (!watch.resolved && watch.primaryDone &&
-        (watch.hedgeTicket == 0 || watch.hedgeDone))
-        scheduleFeedbackRetry(watch, o.at);
-    eraseWatchIfComplete(watch.primaryTicket);
 }
 
 // ---- recovery orchestration (coordinator only) --------------------------
@@ -1442,70 +1001,6 @@ ShardedCluster::applyRecovery(sim::Tick windowStart, sim::Tick windowEnd,
         _recoveryFloor = floor;
         for (auto& node : _nodes)
             node->setRecoveryPressureFloor(floor);
-    }
-}
-
-void
-ShardedCluster::scheduleFeedbackRetry(const Watch& watch, sim::Tick at)
-{
-    if (_recovery == nullptr)
-        return;
-    const fault::DomainPlan& plan = _config.node.fault.domain;
-    if (!plan.retryFeedbackEnabled || watch.isProbe ||
-        watch.feedbackAttempt >= plan.retryMaxAttempts)
-        return;
-    const sim::Tick backoff = std::max<sim::Tick>(
-        1, sim::fromSeconds(plan.retryBackoffSeconds));
-    _feedbackQueue.push_back(
-        {at + backoff, _feedbackSeq++, watch.function,
-         watch.feedbackAttempt + 1});
-}
-
-void
-ShardedCluster::drainFeedbackRetries(sim::Tick windowEnd,
-                                     std::uint64_t& seq)
-{
-    if (_feedbackIdx >= _feedbackQueue.size())
-        return;
-    // Outcomes drain in (at, ...) order with a constant backoff, so
-    // the tail is already sorted; the sort is a cheap invariant guard
-    // (its (at, seq) key is a total order, so it cannot perturb
-    // determinism either way).
-    std::sort(_feedbackQueue.begin() +
-                  static_cast<std::ptrdiff_t>(_feedbackIdx),
-              _feedbackQueue.end(),
-              [](const FeedbackRetry& a, const FeedbackRetry& b) {
-                  return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-              });
-    while (_feedbackIdx < _feedbackQueue.size() &&
-           _feedbackQueue[_feedbackIdx].at < windowEnd) {
-        const FeedbackRetry retry = _feedbackQueue[_feedbackIdx++];
-        const std::size_t target =
-            _scheduler.pick(_summaries, retry.function);
-        ++_retriesFeedback;
-        ++_offeredLoad;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::RecoveryRetries,
-                                  retry.at);
-            _obs->emit(retry.at, obs::EventType::RecoveryRetry, 0,
-                       retry.function,
-                       static_cast<std::uint8_t>(target),
-                       static_cast<std::uint8_t>(
-                           std::min<std::uint32_t>(retry.attempt, 255)));
-        }
-        Watch watch;
-        watch.function = retry.function;
-        watch.arrival = retry.at;
-        watch.sentAt = retry.at;
-        watch.primaryNode = static_cast<std::uint32_t>(target);
-        watch.feedbackAttempt = retry.attempt;
-        const std::uint64_t ticket = openWatch(watch);
-        sendInvoke(target, retry.function, 0, ticket, retry.at,
-                   windowEnd, seq);
-    }
-    if (_feedbackIdx == _feedbackQueue.size()) {
-        _feedbackQueue.clear();
-        _feedbackIdx = 0;
     }
 }
 
