@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/json.hh"
 
@@ -164,7 +165,8 @@ parseDomainsArray(const obs::JsonValue& value, DomainPlan& plan,
         std::vector<std::uint32_t> members;
         for (const auto& id : group.array) {
             if (!id.isNumber() || id.number < 0.0 ||
-                id.number != std::floor(id.number)) {
+                id.number != std::floor(id.number) ||
+                id.number > std::numeric_limits<std::uint32_t>::max()) {
                 return fail(error, "domains: node ids must be "
                                    "non-negative integers");
             }

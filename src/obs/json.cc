@@ -293,6 +293,15 @@ namespace {
 /** Largest SecondsAsTick value; its tick count fits a sim::Tick. */
 constexpr double kMaxTickSeconds = 9e12;
 
+/**
+ * Largest NonNegative value. Seconds knobs read this way reach ticks
+ * later, some through random draws: an exponential draw reaches about
+ * 37x its mean (-ln 2^-53), so a 9e12 s MTBF overflows a sim::Tick
+ * while a 1e9 s one stays near 4e16 of its 9.2e18 ticks. No seconds,
+ * rate or factor knob needs more.
+ */
+constexpr double kMaxNonNegative = 1e9;
+
 } // namespace
 
 bool
@@ -332,8 +341,8 @@ readJsonKnob(std::span<const JsonKnob> knobs, const std::string& key,
         *static_cast<double*>(knob->target) = v;
         return true;
       case Kind::NonNegative:
-        if (v < 0.0)
-            return fail(key + ": must be non-negative");
+        if (v < 0.0 || v > kMaxNonNegative)
+            return fail(key + ": must be in [0, 1e9]");
         *static_cast<double*>(knob->target) = v;
         return true;
       case Kind::SecondsAsTick:

@@ -82,8 +82,8 @@ struct JsonKnob
     enum class Kind : std::uint8_t
     {
         Fraction,      //!< number in [0, 1] into a double
-        NonNegative,   //!< number >= 0 (seconds, rates, factors) into
-                       //!< a double
+        NonNegative,   //!< number in [0, 1e9] (seconds, rates,
+                       //!< factors) into a double
         SecondsAsTick, //!< seconds >= 0 into a sim::Tick
         Count,         //!< non-negative integer into a std::uint32_t
         Flag,          //!< boolean into a bool

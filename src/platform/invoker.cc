@@ -52,6 +52,23 @@ initStageForLayer(workload::Layer layer)
     }
 }
 
+/**
+ * Span stage an install cut short (crash or cancel) is charged to:
+ * the wait stage for an invocation latched onto a pre-warm, the first
+ * layer being built otherwise (attribution folds aborted spans into
+ * "retry").
+ */
+obs::SpanStage
+abortedInstallStage(StartupType type)
+{
+    switch (type) {
+      case StartupType::Load: return obs::SpanStage::InitWait;
+      case StartupType::Cold: return obs::SpanStage::InitBare;
+      case StartupType::Bare: return obs::SpanStage::InitLang;
+      default: return obs::SpanStage::InitUser;
+    }
+}
+
 } // namespace
 
 void
@@ -530,7 +547,7 @@ Invoker::startExecution(const Pending& inv, Container& c, StartupType type,
     sim::Tick execution = profile.sampleExecution(_rng);
     if (!_degraded.empty()) {
         // Gray window: the node is slow, not down — stretch the run.
-        const double gray = degradedExecFactor();
+        const double gray = degradedFactor(&DegradedSpan::execFactor);
         if (gray > 1.0) {
             execution = static_cast<sim::Tick>(
                 static_cast<double>(execution) * gray);
@@ -919,7 +936,7 @@ Invoker::scheduleInit(container::ContainerId cid, sim::Tick install,
 {
     if (!_degraded.empty()) {
         // Gray window: installs crawl by the configured factor.
-        const double gray = degradedInitFactor();
+        const double gray = degradedFactor(&DegradedSpan::initFactor);
         if (gray > 1.0) {
             install = static_cast<sim::Tick>(
                 static_cast<double>(install) * gray);
@@ -1141,24 +1158,8 @@ Invoker::crashImpl(sim::Tick downUntil)
     }
     _execs.clear();
     for (auto& [cid, attachment] : _attachments) {
-        // The whole install is cut short; charge it to the wait stage
-        // for latched invocations and to the first layer being built
-        // otherwise (attribution folds aborted spans into "retry").
-        obs::SpanStage stage = obs::SpanStage::InitUser;
-        switch (attachment.type) {
-          case StartupType::Load:
-            stage = obs::SpanStage::InitWait;
-            break;
-          case StartupType::Cold:
-            stage = obs::SpanStage::InitBare;
-            break;
-          case StartupType::Bare:
-            stage = obs::SpanStage::InitLang;
-            break;
-          default:
-            break;
-        }
-        tagged.push_back(Lost{cid, attachment.pending, stage});
+        tagged.push_back(Lost{cid, attachment.pending,
+                              abortedInstallStage(attachment.type)});
     }
     _attachments.clear();
     std::sort(tagged.begin(), tagged.end(),
@@ -1413,22 +1414,9 @@ Invoker::cancelTicket(std::uint64_t ticket)
             sim::panic("Invoker::cancelTicket: attachment container "
                        "vanished");
         if (spansOn()) {
-            obs::SpanStage stage = obs::SpanStage::InitUser;
-            switch (attachment.type) {
-              case StartupType::Load:
-                stage = obs::SpanStage::InitWait;
-                break;
-              case StartupType::Cold:
-                stage = obs::SpanStage::InitBare;
-                break;
-              case StartupType::Bare:
-                stage = obs::SpanStage::InitLang;
-                break;
-              default:
-                break;
-            }
-            emitStageSpan(attachment.pending, stage, _engine.now(), cid,
-                          /*aborted=*/true);
+            emitStageSpan(attachment.pending,
+                          abortedInstallStage(attachment.type),
+                          _engine.now(), cid, /*aborted=*/true);
             closeRootSpan(attachment.pending, obs::SpanOutcome::Cancelled);
         }
         if (attachment.type == StartupType::Load) {
@@ -1491,7 +1479,7 @@ Invoker::cancelTicket(std::uint64_t ticket)
 }
 
 double
-Invoker::degradedExecFactor()
+Invoker::degradedFactor(double DegradedSpan::*factor)
 {
     const sim::Tick now = _engine.now();
     while (_degradedCursor < _degraded.size() &&
@@ -1499,20 +1487,7 @@ Invoker::degradedExecFactor()
         ++_degradedCursor;
     if (_degradedCursor < _degraded.size() &&
         _degraded[_degradedCursor].start <= now)
-        return _degraded[_degradedCursor].execFactor;
-    return 1.0;
-}
-
-double
-Invoker::degradedInitFactor()
-{
-    const sim::Tick now = _engine.now();
-    while (_degradedCursor < _degraded.size() &&
-           _degraded[_degradedCursor].end <= now)
-        ++_degradedCursor;
-    if (_degradedCursor < _degraded.size() &&
-        _degraded[_degradedCursor].start <= now)
-        return _degraded[_degradedCursor].initFactor;
+        return _degraded[_degradedCursor].*factor;
     return 1.0;
 }
 

@@ -545,9 +545,9 @@ class Invoker : public policy::PlatformView
     void noteTicketTerminal(const Pending& inv, std::uint8_t kind,
                             double latencySeconds, double execSeconds);
 
-    /** Exec / init stretch factor of the gray window covering now. */
-    double degradedExecFactor();
-    double degradedInitFactor();
+    /** @p factor (exec or init stretch) of the gray window covering
+     *  now; 1 outside every window. */
+    double degradedFactor(double DegradedSpan::*factor);
 
     bool _ticketing = false;
     std::vector<TicketOutcome> _ticketLog;

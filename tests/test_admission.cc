@@ -149,6 +149,20 @@ TEST(AdmissionPlan, RejectsBadThresholdOrder)
     EXPECT_NE(error.find("warn < high < critical"), std::string::npos);
 }
 
+TEST(AdmissionPlan, RejectsSecondsPastTheKnobBound)
+{
+    AdmissionPlan plan;
+    std::string error;
+    EXPECT_FALSE(parseAdmissionPlan(R"({"queue_deadline_seconds": 2e9})",
+                                    plan, &error));
+    EXPECT_NE(error.find("queue_deadline_seconds"), std::string::npos);
+    EXPECT_FALSE(parseAdmissionPlan(
+        R"({"breaker_cooloff_seconds": 1e300})", plan, &error));
+    EXPECT_TRUE(parseAdmissionPlan(R"({"queue_deadline_seconds": 1e9})",
+                                   plan, &error))
+        << error;
+}
+
 TEST(AdmissionPlan, RejectsZeroBurst)
 {
     AdmissionPlan plan;

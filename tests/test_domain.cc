@@ -160,6 +160,49 @@ TEST(DomainPlan, RejectsNegativeRates)
         plan, &error));
 }
 
+TEST(DomainPlan, RejectsSecondsPastTheKnobBound)
+{
+    fault::DomainPlan plan;
+    std::string error;
+    EXPECT_FALSE(fault::parseDomainPlan(
+        R"({"outages": [{"start_seconds": 1e300, "duration_seconds": 10,
+                         "domain": 0}]})",
+        plan, &error));
+    EXPECT_NE(error.find("start_seconds"), std::string::npos);
+    EXPECT_FALSE(fault::parseDomainPlan(
+        R"({"outages": [{"start_seconds": 60, "duration_seconds": 2e9,
+                         "domain": 0}]})",
+        plan, &error));
+    EXPECT_FALSE(fault::parseDomainPlan(
+        R"({"retry_backoff_seconds": 1e12})", plan, &error));
+    EXPECT_TRUE(fault::parseDomainPlan(
+        R"({"outages": [{"start_seconds": 1e9, "duration_seconds": 1e9,
+                         "domain": 0}]})",
+        plan, &error))
+        << error;
+}
+
+TEST(DomainPlan, RejectsNodeIdsPastUint32)
+{
+    // 2^32 + 1 used to wrap to node 1 and pass validation.
+    fault::DomainPlan plan;
+    std::string error;
+    EXPECT_FALSE(fault::parseDomainPlan(
+        R"({"domain_count": 2, "domains": [[0, 4294967297], [1]]})", plan,
+        &error));
+    EXPECT_NE(error.find("non-negative integers"), std::string::npos);
+    EXPECT_FALSE(fault::parseDomainPlan(
+        R"({"domain_count": 2, "domains": [[0, 1e300], [1]]})", plan,
+        &error));
+    // The largest id parses; validation against the fleet rejects it.
+    ASSERT_TRUE(fault::parseDomainPlan(
+        R"({"domain_count": 2, "domains": [[0, 4294967295], [1]]})", plan,
+        &error))
+        << error;
+    EXPECT_EQ(plan.domains[0][1], 4294967295u);
+    EXPECT_FALSE(fault::validateDomainPlan(plan, 4, &error));
+}
+
 TEST(DomainPlan, RejectsOverlappingScriptedWindows)
 {
     // Two windows of the same domain overlapping is contradictory;

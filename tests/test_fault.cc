@@ -120,6 +120,27 @@ TEST(FaultPlan, RejectsUnknownKey)
               std::string::npos);
 }
 
+TEST(FaultPlan, RejectsSecondsPastTheKnobBound)
+{
+    // A 1e300 s downtime overflowed the crash schedule's tick sums and
+    // never finished; every seconds knob is capped at 1e9 s.
+    FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(parseFaultPlan(
+        R"({"node_mtbf_seconds": 60, "node_downtime_seconds": 1e300})",
+        plan, &error));
+    EXPECT_NE(error.find("node_downtime_seconds"), std::string::npos);
+    EXPECT_FALSE(parseFaultPlan(R"({"node_mtbf_seconds": 9e12})", plan,
+                                &error));
+    EXPECT_FALSE(parseFaultPlan(
+        R"({"net_degraded_duration_seconds": 2e9})", plan, &error));
+    EXPECT_TRUE(parseFaultPlan(
+        R"({"node_mtbf_seconds": 1e9, "node_downtime_seconds": 1e9})",
+        plan, &error))
+        << error;
+    EXPECT_DOUBLE_EQ(plan.nodeMtbfSeconds, 1e9);
+}
+
 TEST(FaultPlan, RejectsMalformedJson)
 {
     FaultPlan plan;

@@ -238,8 +238,14 @@ TEST(Json, KnobTableReadsEveryKindAndNamesThePlan)
     EXPECT_EQ(count, 3u);
     EXPECT_TRUE(flag);
 
+    // 1e9 is the largest non-negative knob value.
+    ASSERT_TRUE(parseJson(R"({"s": 1e9})", root));
+    ASSERT_TRUE(readJsonKnobs(root, knobs, "test plan", &error)) << error;
+    EXPECT_DOUBLE_EQ(seconds, 1e9);
+
     for (const char* bad :
-         {R"({"f": 1.5})", R"({"s": -1})", R"({"t": -0.5})",
+         {R"({"f": 1.5})", R"({"s": -1})", R"({"s": 1.5e9})",
+          R"({"s": 1e300})", R"({"t": -0.5})",
           R"({"t": 1e300})", R"({"c": 2.5})", R"({"c": 1e10})",
           R"({"b": 1})", R"({"s": "9"})"}) {
         ASSERT_TRUE(parseJson(bad, root)) << bad;
