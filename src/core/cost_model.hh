@@ -9,15 +9,16 @@
  *
  *     beta(k) = alpha * t(k) / ((1 - alpha) * m(k)).
  *
- * Unit calibration: C_startup is in seconds and C_memory in MB*s,
- * which makes the two contributions comparable at the paper's
- * alpha = 0.996 (Fig. 11a shows both parts clearly). For beta, m(k)
- * is interpreted in GB — equivalently, a fixed 1000x exchange rate
- * between a second of startup latency and an MB*s of residency is
- * folded into the bound — which lands the per-layer TTL upper bounds
- * in the minutes range the paper's keep-alive windows occupy (e.g.,
- * ~34 min for IR-Py's 412 MB user layer, ~1 h for a 10 MB Bare
- * container).
+ * Unit calibration: unifiedCost() takes C_startup in seconds and
+ * C_memory in MB*s. The beta bound counts m(k) in units of
+ * CostConfig::betaMemoryUnitMb (160 MB by default) instead: one
+ * unit-second of idle residency is worth one second of startup
+ * latency. That lands the per-layer TTL upper bounds in the minutes
+ * range the paper's keep-alive windows occupy (at alpha = 0.996,
+ * ~5.5 min for IR-Py's 412 MB user layer and ~9 min for its 11 MB
+ * Bare container). The two exchange rates differ: at alpha = 0.996
+ * unifiedCost()'s memory term dwarfs its startup term rather than
+ * matching it.
  */
 
 #ifndef RC_CORE_COST_MODEL_HH_
