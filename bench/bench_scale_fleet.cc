@@ -45,8 +45,8 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 
+#include "cluster/sharded_cluster.hh"
 #include "core/ablations.hh"
 #include "exp/cluster_run.hh"
 #include "exp/experiment.hh"
@@ -201,9 +201,8 @@ runClusterTier(bool quick, std::vector<BenchRecord>& records)
         const double seconds =
             std::chrono::duration<double>(Clock::now() - start)
                 .count();
-        const std::size_t threads = std::min<std::size_t>(
-            shards,
-            std::max<unsigned>(1, std::thread::hardware_concurrency()));
+        const std::size_t threads =
+            std::min(shards, cluster::usableCpus());
 
         const std::string label =
             "fleet_cluster_" + std::to_string(shards) + "shard";
@@ -310,9 +309,8 @@ runMegaTier(bool quick, std::vector<BenchRecord>& records)
         const double seconds =
             std::chrono::duration<double>(Clock::now() - start)
                 .count();
-        const std::size_t threads = std::min<std::size_t>(
-            shards,
-            std::max<unsigned>(1, std::thread::hardware_concurrency()));
+        const std::size_t threads =
+            std::min(shards, cluster::usableCpus());
 
         const std::string label =
             "mega_cluster_" + std::to_string(shards) + "shard";
@@ -334,6 +332,10 @@ runMegaTier(bool quick, std::vector<BenchRecord>& records)
         report(records,
                {label, "summary_capture_seconds",
                 static_cast<double>(result.summaryCaptureNs) / 1e9, "s",
+                threads});
+        report(records,
+               {label, "barrier_wait_seconds",
+                static_cast<double>(result.barrierWaitNs) / 1e9, "s",
                 threads});
         if (shards == 1) {
             baseSeconds = seconds;

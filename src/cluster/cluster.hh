@@ -203,9 +203,13 @@ struct ClusterResult
     std::uint64_t summaryCaptureNs = 0;
     /** Total ns spent inside parallel shard rounds. */
     std::uint64_t parallelNs = 0;
-    /** coordinatorDrainNs / (coordinatorDrainNs + parallelNs): the
-     *  measured Amdahl serial fraction of the run. 0 when timing was
-     *  off or the run had no windows. */
+    /** Subset of parallelNs: the coordinator thread waiting for the
+     *  crew after finishing its own share of each round. */
+    std::uint64_t barrierWaitNs = 0;
+    /** coordinatorDrainNs / (coordinatorDrainNs + parallelNs -
+     *  barrierWaitNs): the share of the coordinator thread's working
+     *  time that is serial. 0 when timing was off or the run had no
+     *  windows. */
     double serialFraction = 0.0;
 };
 

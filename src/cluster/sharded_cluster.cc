@@ -8,6 +8,10 @@
 #include <thread>
 #include <utility>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "sim/logging.hh"
 #include "sim/shard_executor.hh"
 
@@ -22,15 +26,18 @@ namespace {
  */
 constexpr sim::Tick kMaxSummaryStaleness = sim::kSecond;
 
-/** Threads actually worth spawning for @p shards partitions. */
-std::size_t
-defaultThreads(std::size_t shards)
-{
-    const std::size_t hw = std::thread::hardware_concurrency();
-    return std::max<std::size_t>(1, std::min(shards, hw == 0 ? 1 : hw));
-}
-
 } // namespace
+
+std::size_t
+usableCpus()
+{
+#ifdef __linux__
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0)
+        return static_cast<std::size_t>(std::max(1, CPU_COUNT(&mask)));
+#endif
+    return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
                                const PolicyFactory& factory,
@@ -92,12 +99,10 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
     _shards.resize(shards);
     for (std::size_t i = 0; i < _nodes.size(); ++i)
         _shards[i % shards].nodes.push_back(i);
-    _threads = _sharded.threads > 0
-                   ? std::min(_sharded.threads, shards)
-                   : defaultThreads(shards);
+    _threads = std::min({_sharded.threads > 0 ? _sharded.threads : shards,
+                         shards, usableCpus()});
 
     _summaries.resize(_nodes.size());
-    _pendingInputs.assign(_nodes.size(), 0);
     _summaryStamps.assign(_nodes.size(), 0);
     _seenFailures.assign(_nodes.size(), 0);
     _seenSuccesses.assign(_nodes.size(), 0);
@@ -146,97 +151,137 @@ ShardedCluster::captureSummary(platform::Node& node) const
 void
 ShardedCluster::runShardWindow(Shard& shard, sim::Tick windowEnd)
 {
-    const sim::Tick failoverHop = std::max(
-        _lookahead, sim::fromMillis(_sharded.cost.failoverHopMillis));
     // The coordinator appends the bin per stream (failover, arrivals,
     // crashes), so inputs interleave; one sort groups the bin by node
     // and restores the global (tick, kind, seq) drain order within
-    // each node — exactly the order the old per-node inbox sort
-    // produced (the node major key is determinism-irrelevant: node
-    // states are disjoint).
+    // each node. Node states are disjoint, so the order in which the
+    // shard visits its nodes never matters.
     std::sort(shard.bin.begin(), shard.bin.end(),
               [](const RoutedInput& a, const RoutedInput& b) {
                   if (a.node != b.node)
                       return a.node < b.node;
                   return shardInputBefore(a.input, b.input);
               });
-    std::size_t cursor = 0;
-    sim::Tick shardNext = kNever;
-    for (const std::size_t index : shard.nodes) {
-        platform::Node& node = *_nodes[index];
-        const std::size_t begin = cursor;
-        while (cursor < shard.bin.size() &&
-               shard.bin[cursor].node == index)
-            ++cursor;
-        // Idle fast path: a node with no inputs and no event due
-        // before the barrier does nothing this window, so its change
-        // stamp cannot have moved (events and coordinator mutations
-        // are the only stamp sources, and both come through here) —
-        // skip it without even reading the stamp. The check reads
-        // only this node's state, so it is independent of the shard
-        // partitioning. fullSummaryCapture disables the shortcut so
-        // the identity test exercises the full re-walk.
-        if (cursor == begin && !_sharded.fullSummaryCapture) {
-            const sim::Tick next = node.engine().nextEventAt();
-            if (next >= windowEnd) {
-                shardNext = std::min(shardNext, next);
-                continue;
-            }
-        }
-        for (std::size_t k = begin; k < cursor; ++k) {
-            const ShardInput& input = shard.bin[k].input;
-            node.advanceTo(input.tick);
-            if (input.kind == ShardInput::kCrash) {
-                const auto lost = node.crashNow(input.downUntil);
-                shard.crashLog.push_back(
-                    {{input.tick, index, input.downUntil},
-                     static_cast<std::uint32_t>(lost.size())});
-                // Displaced work re-enters at the next barrier,
-                // one failover hop after the crash. The hop is
-                // >= the lookahead by construction, so delivery
-                // never lands inside this window.
-                std::uint32_t i = 0;
-                for (const auto& ticket : lost) {
-                    shard.outbox.push_back(
-                        {std::max(windowEnd,
-                                  input.tick + failoverHop),
-                         input.tick,
-                         static_cast<std::uint32_t>(index), i++,
-                         ticket.function, ticket.originSpan,
-                         ticket.ticket});
-                }
-            } else if (input.kind == ShardInput::kInvoke) {
-                node.invokeNow(input.function, input.originSpan,
-                               input.ticket);
-            } else if (input.kind == ShardInput::kPrewarm) {
-                // Census warm-up: downUntil carries the Layer.
-                node.recoveryPrewarm(
-                    input.function,
-                    static_cast<workload::Layer>(
-                        static_cast<std::uint8_t>(input.downUntil)));
-            } else {
-                node.cancelTicket(input.ticket);
-            }
-        }
-        // Windows are half-open: drain everything strictly
-        // before the barrier.
-        node.advanceTo(windowEnd - 1);
-        // Delta capture: publish the summary only when the node's
-        // change stamp moved since the last capture. An untouched
-        // node's summary is bitwise what the coordinator already
-        // holds, so skipping it cannot change results (the
-        // fullSummaryCapture identity test pins this).
-        const std::uint64_t stamp = node.summaryStamp();
-        if (stamp != _summaryStamps[index] ||
-            _sharded.fullSummaryCapture) {
-            _summaryStamps[index] = stamp;
-            shard.summaryScratch.emplace_back(
-                static_cast<std::uint32_t>(index), captureSummary(node));
-        }
-        shardNext = std::min(shardNext, node.engine().nextEventAt());
+    const std::span<const RoutedInput> bin(shard.bin);
+    for (std::size_t begin = 0, end = 0; begin < bin.size(); begin = end) {
+        while (end < bin.size() && bin[end].node == bin[begin].node)
+            ++end;
+        visitNode(shard, bin[begin].node, bin.subspan(begin, end - begin),
+                  windowEnd);
+    }
+    // A visit leaves the node's next event at or past the barrier, so
+    // this pops each due node once and stops at the first idle one.
+    while (shard.wake.top() < windowEnd)
+        visitNode(shard, shard.nodes[shard.wake.topEntry()], {}, windowEnd);
+    // The test knob visits and captures every node (a node visited
+    // above only re-captures: it already stands at the barrier).
+    if (_sharded.fullSummaryCapture) {
+        for (const std::size_t index : shard.nodes)
+            visitNode(shard, index, {}, windowEnd);
     }
     shard.bin.clear();
-    shard.nextEventAt = shardNext;
+}
+
+void
+ShardedCluster::visitNode(Shard& shard, std::size_t index,
+                          std::span<const RoutedInput> inputs,
+                          sim::Tick windowEnd)
+{
+    platform::Node& node = *_nodes[index];
+    for (const RoutedInput& routed : inputs) {
+        const ShardInput& input = routed.input;
+        node.advanceTo(input.tick);
+        if (input.kind == ShardInput::kCrash) {
+            const auto lost = node.crashNow(input.downUntil);
+            shard.crashLog.push_back(
+                {{input.tick, index, input.downUntil},
+                 static_cast<std::uint32_t>(lost.size())});
+            // Displaced work re-enters at the next barrier, one
+            // failover hop after the crash. The hop is >= the
+            // lookahead by construction, so delivery never lands
+            // inside this window.
+            const sim::Tick failoverHop = std::max(
+                _lookahead, sim::fromMillis(_sharded.cost.failoverHopMillis));
+            std::uint32_t i = 0;
+            for (const auto& ticket : lost) {
+                shard.outbox.push_back(
+                    {std::max(windowEnd, input.tick + failoverHop),
+                     input.tick, static_cast<std::uint32_t>(index), i++,
+                     ticket.function, ticket.originSpan, ticket.ticket});
+            }
+        } else if (input.kind == ShardInput::kInvoke) {
+            node.invokeNow(input.function, input.originSpan, input.ticket);
+        } else if (input.kind == ShardInput::kPrewarm) {
+            // Census warm-up: downUntil carries the Layer.
+            node.recoveryPrewarm(
+                input.function,
+                static_cast<workload::Layer>(
+                    static_cast<std::uint8_t>(input.downUntil)));
+        } else {
+            node.cancelTicket(input.ticket);
+        }
+    }
+    // Windows are half-open: drain everything strictly before the
+    // barrier.
+    node.advanceTo(windowEnd - 1);
+    // Delta capture: publish the summary only when the node's change
+    // stamp moved since the last capture. An untouched node's summary
+    // is bitwise what the coordinator already holds, so skipping it
+    // cannot change results (the fullSummaryCapture identity test pins
+    // this).
+    const std::uint64_t stamp = node.summaryStamp();
+    if (stamp != _summaryStamps[index] || _sharded.fullSummaryCapture) {
+        _summaryStamps[index] = stamp;
+        shard.summaryScratch.emplace_back(static_cast<std::uint32_t>(index),
+                                          captureSummary(node));
+    }
+    // Node i is entry i / shards of shard i % shards.
+    shard.wake.update(static_cast<std::uint32_t>(index / _shards.size()),
+                      node.engine().nextEventAt());
+}
+
+void
+ShardedCluster::WakeIndex::reset(std::size_t nodes)
+{
+    _heap.clear();
+    _slot.clear();
+    for (std::uint32_t k = 0; k < nodes; ++k) {
+        _heap.emplace_back(kNever, k);
+        _slot.push_back(k);
+    }
+}
+
+void
+ShardedCluster::WakeIndex::update(std::uint32_t local, sim::Tick tick)
+{
+    std::size_t slot = _slot[local];
+    const std::pair<sim::Tick, std::uint32_t> entry{tick, local};
+    // Sift up while the parent is later, else down while a child is
+    // earlier; (tick, entry) is a total order.
+    while (slot > 0 && entry < _heap[(slot - 1) / 2]) {
+        place(slot, _heap[(slot - 1) / 2]);
+        slot = (slot - 1) / 2;
+    }
+    while (true) {
+        std::size_t child = 2 * slot + 1;
+        if (child >= _heap.size())
+            break;
+        if (child + 1 < _heap.size() && _heap[child + 1] < _heap[child])
+            ++child;
+        if (!(_heap[child] < entry))
+            break;
+        place(slot, _heap[child]);
+        slot = child;
+    }
+    place(slot, entry);
+}
+
+void
+ShardedCluster::WakeIndex::place(std::size_t slot,
+                                 std::pair<sim::Tick, std::uint32_t> e)
+{
+    _heap[slot] = e;
+    _slot[e.second] = static_cast<std::uint32_t>(slot);
 }
 
 void
@@ -299,7 +344,7 @@ ShardedCluster::run(trace::ArrivalSource& source)
     RunState run(source, _sharded.phaseTimings);
     arm(run);
 
-    sim::ShardExecutor executor(_threads);
+    sim::ShardExecutor executor(_threads, run.timing);
     // One round closure reused by every window (no per-window
     // std::function allocation); the coordinator sets run.windowEnd
     // and _activeShards before each round.
@@ -351,6 +396,7 @@ ShardedCluster::run(trace::ArrivalSource& source)
         }
     });
     run.result.parallelNs += run.clock() - tDrain;
+    run.result.barrierWaitNs = executor.waitNs();
 
     settleAfterDrain(run);
     assemble(run);
@@ -361,6 +407,8 @@ void
 ShardedCluster::arm(RunState& run)
 {
     run.result.schedulingName = toString(_config.scheduling);
+    if (_obs != nullptr)
+        run.firstEvent = _obs->events().size();
     const sim::Tick horizon = run.source.horizon();
     run.horizon = horizon;
 
@@ -414,10 +462,10 @@ ShardedCluster::arm(RunState& run)
         _summaryStamps[i] = _nodes[i]->summaryStamp();
     }
     for (Shard& shard : _shards) {
-        shard.nextEventAt = kNever;
-        for (const std::size_t i : shard.nodes) {
-            shard.nextEventAt = std::min(
-                shard.nextEventAt, _nodes[i]->engine().nextEventAt());
+        shard.wake.reset(shard.nodes.size());
+        for (std::uint32_t k = 0; k < shard.nodes.size(); ++k) {
+            shard.wake.update(k,
+                              _nodes[shard.nodes[k]]->engine().nextEventAt());
         }
     }
 }
@@ -459,12 +507,14 @@ ShardedCluster::nextWakeUp(const RunState& run) const
     }
     if (nodeProgress) {
         // A node acts at its next engine event, or at the last barrier
-        // when it holds queued input.
-        for (std::size_t i = 0; i < _nodes.size(); ++i) {
-            next = std::min(next, _pendingInputs[i] == 0
-                                      ? _nodes[i]->engine().nextEventAt()
-                                      : run.lastBarrier);
-        }
+        // when it holds queued input. After a round every node's next
+        // event is at or past the last barrier, so the earliest is the
+        // earliest shard minimum, or the barrier itself while input is
+        // queued.
+        if (!_routeScratch.empty())
+            next = std::min(next, run.lastBarrier);
+        for (const Shard& shard : _shards)
+            next = std::min(next, shard.wake.top());
     }
     return next;
 }
@@ -623,19 +673,16 @@ ShardedCluster::binInputs(sim::Tick windowEnd)
     // it), so steady-state windows never reallocate. The worker
     // regroups its bin by node with a single sort.
     const std::size_t shardCount = _shards.size();
-    for (const RoutedInput& r : _routeScratch) {
+    for (const RoutedInput& r : _routeScratch)
         _shards[r.node % shardCount].bin.push_back(r);
-        _pendingInputs[r.node] = 0;
-    }
     _routeScratch.clear();
-    // Shards with no input and no due node events would only run
-    // every node's idle fast path; skip them wholesale. The test knob
-    // forces full participation so identity tests exercise the
-    // no-skip path.
+    // Shards with no input and no due node events would visit no
+    // node; skip them wholesale. The test knob forces full
+    // participation so identity tests exercise the no-skip path.
     _activeShards.clear();
     for (std::size_t s = 0; s < shardCount; ++s) {
         if (_sharded.fullSummaryCapture || !_shards[s].bin.empty() ||
-            _shards[s].nextEventAt < windowEnd)
+            _shards[s].wake.top() < windowEnd)
             _activeShards.push_back(s);
     }
 }
@@ -708,7 +755,6 @@ ShardedCluster::settleAfterDrain(RunState& run)
         // same batch — so drop the dead inbox inputs.
         settleOutcomes(run, run.lastBarrier);
         _routeScratch.clear();
-        std::fill(_pendingInputs.begin(), _pendingInputs.end(), 0);
         _gray->emitDegradedEvents(kNever);
         emitHealthTransitions();
     }
@@ -788,12 +834,18 @@ ShardedCluster::assemble(RunState& run)
         }
         _obs->absorbSpans(std::move(all), dropped, run.horizon);
     }
+    // The coordinator emits a window's events phase by phase (a crash
+    // merged after the round lands behind later routing instants), so
+    // put this run's events in tick order.
+    if (_obs != nullptr)
+        _obs->sortEventsByTick(run.firstEvent);
     if (run.timing) {
         const std::uint64_t coordNs = result.coordinatorDrainNs;
-        if (coordNs + result.parallelNs > 0) {
-            result.serialFraction =
-                static_cast<double>(coordNs) /
-                static_cast<double>(coordNs + result.parallelNs);
+        const std::uint64_t busyNs =
+            coordNs + result.parallelNs - result.barrierWaitNs;
+        if (busyNs > 0) {
+            result.serialFraction = static_cast<double>(coordNs) /
+                                    static_cast<double>(busyNs);
         }
         if (_obs != nullptr) {
             obs::Registry& counters = _obs->counters();

@@ -32,7 +32,8 @@ struct ClusterRunConfig
      * changes.
      */
     std::size_t shards = 1;
-    /** Worker threads stepping the shards; 0 picks automatically. */
+    /** Crew stepping the shards (ShardedConfig::threads); 0 picks
+     *  one per shard, clamped to the usable CPUs. */
     std::size_t threads = 0;
     /** Per-node configuration. */
     platform::NodeConfig node;

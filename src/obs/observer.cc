@@ -350,6 +350,16 @@ Observer::absorbSpans(std::vector<Span> spans, std::uint64_t dropped,
 }
 
 void
+Observer::sortEventsByTick(std::size_t from)
+{
+    std::stable_sort(_events.begin() + static_cast<std::ptrdiff_t>(from),
+                     _events.end(),
+                     [](const TraceEvent& a, const TraceEvent& b) {
+                         return a.tick < b.tick;
+                     });
+}
+
+void
 Observer::reset()
 {
     _events.clear();

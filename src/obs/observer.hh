@@ -116,6 +116,15 @@ class Observer
     void absorbSpans(std::vector<Span> spans, std::uint64_t dropped,
                      sim::Tick when);
 
+    /**
+     * Stable-sort the events recorded from position @p from on by
+     * tick; equal ticks keep their emission order, so an already
+     * ordered buffer keeps its bytes. The cluster coordinator emits a
+     * barrier window's events phase by phase rather than in tick
+     * order, and calls this once after a run.
+     */
+    void sortEventsByTick(std::size_t from);
+
     /** Convenience emit, fills the common fields. */
     void
     emit(sim::Tick tick, EventType type, std::uint64_t container = 0,

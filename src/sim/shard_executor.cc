@@ -1,14 +1,53 @@
 #include "sim/shard_executor.hh"
 
+#include <utility>
+
 namespace rc::sim {
 
-ShardExecutor::ShardExecutor(std::size_t workers)
-    : _workers(workers == 0 ? 1 : workers)
+namespace {
+
+/** Tell the CPU this is a spin-wait (frees the core's sibling). */
+inline void
+cpuRelax()
 {
-    if (_workers == 1)
-        return; // inline mode: no threads at all
-    _threads.reserve(_workers);
-    for (std::size_t i = 0; i < _workers; ++i)
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/** Poll @p ready for up to kSpinBound; true once it holds. */
+template <typename Ready>
+bool
+spinFor(const Ready& ready)
+{
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline =
+        Clock::now() + ShardExecutor::kSpinBound;
+    do {
+        if (ready())
+            return true;
+        cpuRelax();
+    } while (Clock::now() < deadline);
+    return ready();
+}
+
+std::uint64_t
+steadyNs()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+} // namespace
+
+ShardExecutor::ShardExecutor(std::size_t crew, bool timeWaits)
+    : _timeWaits(timeWaits)
+{
+    for (std::size_t i = 1; i < crew; ++i)
         _threads.emplace_back([this] { workerLoop(); });
 }
 
@@ -16,89 +55,88 @@ ShardExecutor::~ShardExecutor()
 {
     if (_threads.empty())
         return;
-    {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        _stopping = true;
-        ++_generation;
-    }
-    _start.notify_all();
+    _stopping.store(true, std::memory_order_relaxed);
+    _generation.fetch_add(1, std::memory_order_release);
+    _generation.notify_all();
     for (auto& thread : _threads)
         thread.join();
 }
 
 void
-ShardExecutor::drainInline()
+ShardExecutor::drain(std::uint32_t round)
 {
-    const RoundFn& fn = *_fn;
-    std::size_t i;
-    while ((i = _cursor.fetch_add(1, std::memory_order_relaxed)) < _count)
-        fn(i);
+    std::uint64_t claim = _claim.load(std::memory_order_acquire);
+    while ((claim >> 32) == round && (claim & 0xffffffffu) != 0) {
+        if (!_claim.compare_exchange_weak(claim, claim - 1,
+                                          std::memory_order_acquire))
+            continue;
+        try {
+            (*_fn)((claim & 0xffffffffu) - 1);
+        } catch (...) {
+            // Read by the caller only once every item finished, which
+            // the release decrement below orders after this write.
+            if (!_failed.exchange(true, std::memory_order_relaxed))
+                _error = std::current_exception();
+        }
+        if (_unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            _unfinished.notify_one();
+        claim = _claim.load(std::memory_order_acquire);
+    }
 }
 
 void
 ShardExecutor::runRound(std::size_t count, const RoundFn& fn)
 {
-    if (count == 0)
+    if (count <= 1 || _threads.empty()) {
+        // Inline: at most one item, or a crew of one. Workers never
+        // touch round state outside a claimed item, and the next
+        // claim word publishes what fn wrote.
+        for (std::size_t i = 0; i < count; ++i)
+            fn(i);
         return;
+    }
+    const std::uint32_t round =
+        _generation.load(std::memory_order_relaxed) + 1;
     _fn = &fn;
-    _count = count;
-    _cursor.store(0, std::memory_order_relaxed);
-    _error = nullptr;
+    _failed.store(false, std::memory_order_relaxed);
+    _unfinished.store(static_cast<std::uint32_t>(count),
+                      std::memory_order_relaxed);
+    _claim.store((std::uint64_t{round} << 32) | count,
+                 std::memory_order_release);
+    _generation.store(round, std::memory_order_release);
+    _generation.notify_all();
 
-    if (count == 1 || _threads.empty()) {
-        // Inline mode, and the fast path for single-task rounds: with
-        // one task the caller's thread beats a park/notify handshake.
-        // Safe with live workers — they are parked between rounds, and
-        // the next round's mutex handshake publishes whatever the
-        // inline task wrote.
-        drainInline();
-        _fn = nullptr;
-        return;
-    }
+    drain(round);
 
-    std::uint64_t round;
-    {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        round = ++_generation;
-        _active = _threads.size();
+    const std::uint64_t waitStart = _timeWaits ? steadyNs() : 0;
+    const auto finished = [this] {
+        return _unfinished.load(std::memory_order_acquire) == 0;
+    };
+    if (!spinFor(finished)) {
+        std::uint32_t left;
+        while ((left = _unfinished.load(std::memory_order_acquire)) != 0)
+            _unfinished.wait(left, std::memory_order_acquire);
     }
-    _start.notify_all();
-    {
-        std::unique_lock<std::mutex> lock(_mutex);
-        _done.wait(lock, [this] { return _active == 0; });
-    }
-    (void)round;
-    _fn = nullptr;
+    if (_timeWaits)
+        _waitNs += steadyNs() - waitStart;
     if (_error)
-        std::rethrow_exception(_error);
+        std::rethrow_exception(std::exchange(_error, nullptr));
 }
 
 void
 ShardExecutor::workerLoop()
 {
-    std::uint64_t seen = 0;
+    std::uint32_t seen = 0;
     while (true) {
-        {
-            std::unique_lock<std::mutex> lock(_mutex);
-            _start.wait(lock, [this, seen] {
-                return _generation != seen;
-            });
-            seen = _generation;
-            if (_stopping)
-                return;
-        }
-        try {
-            drainInline();
-        } catch (...) {
-            const std::lock_guard<std::mutex> lock(_mutex);
-            if (!_error)
-                _error = std::current_exception();
-        }
-        {
-            const std::lock_guard<std::mutex> lock(_mutex);
-            if (--_active == 0)
-                _done.notify_all();
-        }
+        const auto started = [this, &seen] {
+            return _generation.load(std::memory_order_acquire) != seen;
+        };
+        if (!spinFor(started))
+            _generation.wait(seen, std::memory_order_acquire);
+        seen = _generation.load(std::memory_order_acquire);
+        if (_stopping.load(std::memory_order_relaxed))
+            return;
+        drain(seen);
     }
 }
 

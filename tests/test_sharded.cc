@@ -8,9 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "core/ablations.hh"
 #include "exp/cluster_run.hh"
@@ -467,6 +473,195 @@ TEST(ShardedCluster, DeltaSummaryCaptureMatchesFullCapture)
         EXPECT_EQ(prints[0], prints[1]) << shards << " shards";
     }
 }
+
+/**
+ * Forwards a vector source and, at every pop (a coordinator phase,
+ * every node at rest at the last barrier), records how far apart the
+ * nodes' engine clocks stand.
+ */
+class ClockSpreadProbe : public trace::ArrivalSource
+{
+  public:
+    ClockSpreadProbe(const std::vector<trace::Arrival>& arrivals,
+                     const cluster::ShardedCluster& cluster)
+        : _inner(arrivals), _cluster(cluster)
+    {
+    }
+
+    sim::Tick horizon() const override { return _inner.horizon(); }
+    std::uint64_t total() const override { return _inner.total(); }
+    bool done() const override { return _inner.done(); }
+    const trace::Arrival& peek() const override { return _inner.peek(); }
+
+    void
+    pop() override
+    {
+        sim::Tick lo = std::numeric_limits<sim::Tick>::max();
+        sim::Tick hi = 0;
+        for (const auto& node : _cluster.nodes()) {
+            lo = std::min(lo, node->engine().now());
+            hi = std::max(hi, node->engine().now());
+        }
+        _maxSpread = std::max(_maxSpread, hi - lo);
+        _inner.pop();
+    }
+
+    sim::Tick maxSpread() const { return _maxSpread; }
+
+  private:
+    trace::VectorArrivalSource _inner;
+    const cluster::ShardedCluster& _cluster;
+    sim::Tick _maxSpread = 0;
+};
+
+TEST(ShardedCluster, FullSummaryCaptureVisitsEveryNodeEveryWindow)
+{
+    // A visit drains the node to the barrier, so when every node is
+    // visited every window all clocks agree whenever the coordinator
+    // routes. Without the knob a window visits only nodes with inputs
+    // or due events, and idle nodes' clocks lag behind.
+    const auto catalog = workload::Catalog::standard20();
+    const auto arrivals = standardArrivals();
+    sim::Tick spread[2] = {0, 0};
+    std::string prints[2];
+    for (int full = 0; full < 2; ++full) {
+        cluster::ClusterConfig clusterConfig;
+        clusterConfig.nodes = 12;
+        clusterConfig.node.pool.memoryBudgetMb = 8192.0;
+        cluster::ShardedConfig sharded;
+        sharded.shards = 3;
+        sharded.fullSummaryCapture = full == 1;
+        cluster::ShardedCluster cluster(
+            catalog, [&catalog] { return core::makeRainbowCake(catalog); },
+            clusterConfig, sharded);
+        ClockSpreadProbe probe(arrivals, cluster);
+        prints[full] = fingerprint(cluster.run(probe));
+        spread[full] = probe.maxSpread();
+    }
+    EXPECT_EQ(spread[1], 0);
+    EXPECT_GT(spread[0], 0);
+    EXPECT_EQ(prints[0], prints[1]);
+}
+
+TEST(ShardedCluster, NodeEventSeveralBarriersAheadFiresOnTime)
+{
+    // Ticketed dispatch wakes the coordinator at the earliest node
+    // event, read off the shards' wake indices. One cold request
+    // completes many barriers after its node's last input, while a
+    // steady stream keeps other entries of the index moving. The
+    // barrier schedule (the windows column) and every record must
+    // match the full-capture run, which visits every node every
+    // window.
+    const auto catalog = workload::Catalog::standard20();
+    std::vector<trace::Arrival> arrivals{{0, 0}};
+    for (int k = 1; k <= 150; ++k)
+        arrivals.push_back({sim::fromMillis(20.0 * k), 1});
+    platform::NodeConfig node;
+    node.pool.memoryBudgetMb = 8192.0;
+    node.fault.network.linkDelayMeanMs = 1.0;
+
+    std::string prints[2];
+    std::vector<platform::InvocationRecord> records[2];
+    sim::Tick lookahead = 0;
+    for (int full = 0; full < 2; ++full) {
+        cluster::ClusterConfig clusterConfig;
+        clusterConfig.nodes = 4;
+        clusterConfig.node = node;
+        cluster::ShardedConfig sharded;
+        sharded.shards = 2;
+        sharded.fullSummaryCapture = full == 1;
+        cluster::ShardedCluster cluster(
+            catalog, [&catalog] { return core::makeRainbowCake(catalog); },
+            clusterConfig, sharded);
+        lookahead = cluster.lookahead();
+        prints[full] = fingerprint(cluster.run(arrivals));
+        for (const auto& n : cluster.nodes()) {
+            const auto& own = n->metrics().records();
+            records[full].insert(records[full].end(), own.begin(),
+                                 own.end());
+        }
+    }
+    EXPECT_EQ(prints[0], prints[1]);
+    ASSERT_EQ(records[0].size(), arrivals.size());
+    ASSERT_EQ(records[1].size(), arrivals.size());
+    for (std::size_t i = 0; i < records[0].size(); ++i) {
+        EXPECT_EQ(records[0][i].arrival, records[1][i].arrival) << i;
+        EXPECT_EQ(records[0][i].endToEnd, records[1][i].endToEnd) << i;
+    }
+    const auto first = std::find_if(
+        records[0].begin(), records[0].end(),
+        [](const platform::InvocationRecord& r) { return r.function == 0; });
+    ASSERT_NE(first, records[0].end());
+    EXPECT_GT(first->endToEnd, 4 * lookahead);
+}
+
+#ifdef __linux__
+/** Pins the calling thread to one CPU; restores its mask on exit. */
+class OneCpuScope
+{
+  public:
+    OneCpuScope()
+    {
+        _ok = sched_getaffinity(0, sizeof(_saved), &_saved) == 0;
+        int cpu = 0;
+        while (_ok && !CPU_ISSET(cpu, &_saved))
+            ++cpu;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        _ok = _ok && sched_setaffinity(0, sizeof(one), &one) == 0;
+    }
+    ~OneCpuScope() { sched_setaffinity(0, sizeof(_saved), &_saved); }
+    OneCpuScope(const OneCpuScope&) = delete;
+    OneCpuScope& operator=(const OneCpuScope&) = delete;
+
+    bool ok() const { return _ok; }
+    std::size_t savedCpus() const
+    {
+        return static_cast<std::size_t>(CPU_COUNT(&_saved));
+    }
+
+  private:
+    cpu_set_t _saved;
+    bool _ok = false;
+};
+
+TEST(ShardedCluster, CrewIsClampedToTheUsableCpus)
+{
+    // A spinning crew larger than its CPUs collapses, so the crew
+    // never outnumbers the affinity mask, and the bytes never depend
+    // on the crew.
+    const auto catalog = workload::Catalog::standard20();
+    const auto arrivals = standardArrivals();
+    const auto build = [&catalog] {
+        cluster::ClusterConfig clusterConfig;
+        clusterConfig.nodes = 12;
+        clusterConfig.node.pool.memoryBudgetMb = 8192.0;
+        clusterConfig.node.fault = chaosPlan();
+        cluster::ShardedConfig sharded;
+        sharded.shards = 4;
+        sharded.threads = 4;
+        return std::make_unique<cluster::ShardedCluster>(
+            catalog, [&catalog] { return core::makeRainbowCake(catalog); },
+            clusterConfig, sharded);
+    };
+    std::size_t pinnedCrew = 0;
+    std::string pinnedPrint;
+    std::size_t cpus = 0;
+    {
+        OneCpuScope pin;
+        ASSERT_TRUE(pin.ok());
+        cpus = pin.savedCpus();
+        const auto pinned = build();
+        pinnedCrew = pinned->threadCount();
+        pinnedPrint = fingerprint(pinned->run(arrivals));
+    }
+    EXPECT_EQ(pinnedCrew, 1u);
+    const auto free = build();
+    EXPECT_EQ(free->threadCount(), std::min<std::size_t>(4, cpus));
+    EXPECT_EQ(fingerprint(free->run(arrivals)), pinnedPrint);
+}
+#endif
 
 TEST(Node, SummaryStampMovesOnlyWithObservableWork)
 {

@@ -639,8 +639,10 @@ parseCount(const std::string& text, std::uint64_t& value)
 
 /**
  * Validate the coordinator_phases.csv sidecar: subsets must not
- * exceed their total, the serial fraction must be a valid ratio, and
- * it must agree with the phase totals it claims to summarize.
+ * exceed their total (route and summary capture within the
+ * coordinator, barrier wait within the parallel phase), the serial
+ * fraction must be a valid ratio, and it must agree with the phase
+ * totals it claims to summarize.
  */
 void
 checkCoordinatorPhases(const std::string& path)
@@ -657,13 +659,13 @@ checkCoordinatorPhases(const std::string& path)
         return;
     }
     if (header != "coordinator_drain_ns,route_ns,summary_capture_ns,"
-                  "parallel_ns,serial_fraction") {
+                  "parallel_ns,barrier_wait_ns,serial_fraction") {
         fail(path + ": unexpected header: " + header);
         return;
     }
     const auto cells = splitCsv(row);
-    if (cells.size() != 5) {
-        fail(path + ": expected 5 columns, got " +
+    if (cells.size() != 6) {
+        fail(path + ": expected 6 columns, got " +
              std::to_string(cells.size()));
         return;
     }
@@ -671,13 +673,15 @@ checkCoordinatorPhases(const std::string& path)
     double route = 0.0;
     double summary = 0.0;
     double parallel = 0.0;
+    double barrierWait = 0.0;
     double fraction = 0.0;
     try {
         coordinator = std::stod(cells[0]);
         route = std::stod(cells[1]);
         summary = std::stod(cells[2]);
         parallel = std::stod(cells[3]);
-        fraction = std::stod(cells[4]);
+        barrierWait = std::stod(cells[4]);
+        fraction = std::stod(cells[5]);
     } catch (const std::exception&) {
         fail(path + ": non-numeric cell in " + row);
         return;
@@ -688,12 +692,18 @@ checkCoordinatorPhases(const std::string& path)
         fail(path + ": route + summary exceed the coordinator total: " +
              row);
     }
+    if (barrierWait < 0.0 || barrierWait > parallel) {
+        fail(path + ": barrier wait outside the parallel total: " +
+             row);
+    }
     if (fraction < 0.0 || fraction > 1.0)
         fail(path + ": serial fraction outside [0, 1]: " + row);
-    // The printed fraction is coordinator / (coordinator + parallel);
-    // allow slack for the CSV's default float precision.
-    if (coordinator + parallel > 0.0) {
-        const double expected = coordinator / (coordinator + parallel);
+    // The printed fraction is the serial share of the coordinator
+    // thread's working time, coordinator / (coordinator + parallel -
+    // barrier wait); allow slack for the CSV's default precision.
+    const double busy = coordinator + parallel - barrierWait;
+    if (busy > 0.0) {
+        const double expected = coordinator / busy;
         if (fraction > expected + 0.01 || fraction < expected - 0.01) {
             fail(path + ": serial fraction inconsistent with phase "
                         "totals: " + row);

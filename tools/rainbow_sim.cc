@@ -338,7 +338,8 @@ runClusterMode(const Options& options, const workload::Catalog& catalog,
         std::cout << "  coordinator " << result.coordinatorDrainNs
                   << " ns (route " << result.routeNs << ", summary "
                   << result.summaryCaptureNs << "), parallel "
-                  << result.parallelNs << " ns, serial fraction "
+                  << result.parallelNs << " ns (barrier wait "
+                  << result.barrierWaitNs << "), serial fraction "
                   << result.serialFraction << "\n";
     }
 
@@ -398,10 +399,12 @@ runClusterMode(const Options& options, const workload::Catalog& catalog,
             std::ofstream phases(options.csvDir +
                                  "/coordinator_phases.csv");
             phases << "coordinator_drain_ns,route_ns,"
-                      "summary_capture_ns,parallel_ns,serial_fraction\n"
+                      "summary_capture_ns,parallel_ns,barrier_wait_ns,"
+                      "serial_fraction\n"
                    << result.coordinatorDrainNs << ','
                    << result.routeNs << ',' << result.summaryCaptureNs
                    << ',' << result.parallelNs << ','
+                   << result.barrierWaitNs << ','
                    << result.serialFraction << '\n';
         }
         std::cout << "\nCSV dumps written to " << options.csvDir << "\n";
