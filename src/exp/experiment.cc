@@ -6,14 +6,20 @@
 #include "policy/openwhisk_fixed.hh"
 #include "policy/pagurus.hh"
 #include "policy/seuss.hh"
-#include "trace/replay.hh"
+#include "trace/arrival_source.hh"
 
 namespace rc::exp {
 
+namespace {
+
+/**
+ * Replay @p arrivals (a vector or an ArrivalSource) on a fresh node
+ * and move the finished node's metrics and waste log into the result.
+ */
+template <typename Arrivals>
 RunResult
-runExperiment(const workload::Catalog& catalog, const PolicyFactory& factory,
-              const std::vector<trace::Arrival>& arrivals,
-              platform::NodeConfig config)
+runNode(const workload::Catalog& catalog, const PolicyFactory& factory,
+        Arrivals& arrivals, const platform::NodeConfig& config)
 {
     platform::Node node(catalog, factory(), config);
     const std::string name = node.policy().name();
@@ -21,8 +27,8 @@ runExperiment(const workload::Catalog& catalog, const PolicyFactory& factory,
 
     RunResult result;
     result.policyName = name;
-    result.metrics = node.metrics();
-    result.waste = node.pool().wasteLog();
+    result.metrics = node.takeMetrics();
+    result.waste = node.pool().takeWasteLog();
     result.totalStartupSeconds = result.metrics.totalStartupSeconds();
     result.totalWasteMbSeconds = result.waste.totalWasteMbSeconds();
     result.hitWasteMbSeconds = result.waste.hitWasteMbSeconds();
@@ -42,12 +48,29 @@ runExperiment(const workload::Catalog& catalog, const PolicyFactory& factory,
     return result;
 }
 
+} // namespace
+
+RunResult
+runExperiment(const workload::Catalog& catalog, const PolicyFactory& factory,
+              trace::ArrivalSource& arrivals, platform::NodeConfig config)
+{
+    return runNode(catalog, factory, arrivals, config);
+}
+
+RunResult
+runExperiment(const workload::Catalog& catalog, const PolicyFactory& factory,
+              const std::vector<trace::Arrival>& arrivals,
+              platform::NodeConfig config)
+{
+    return runNode(catalog, factory, arrivals, config);
+}
+
 RunResult
 runExperiment(const workload::Catalog& catalog, const PolicyFactory& factory,
               const trace::TraceSet& set, platform::NodeConfig config)
 {
-    return runExperiment(catalog, factory, trace::expandArrivals(set),
-                         config);
+    auto source = trace::TraceSetArrivalSource::borrowing(set);
+    return runNode(catalog, factory, source, config);
 }
 
 std::vector<NamedPolicy>

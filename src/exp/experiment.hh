@@ -18,6 +18,7 @@
 #include "platform/node.hh"
 #include "policy/policy.hh"
 #include "stats/interval_log.hh"
+#include "trace/arrival_source.hh"
 #include "trace/trace_set.hh"
 #include "workload/catalog.hh"
 
@@ -74,13 +75,22 @@ struct RunResult
     double wasteGbSeconds() const { return totalWasteMbSeconds / 1024.0; }
 };
 
-/** Run @p factory's policy over @p arrivals on a fresh node. */
+/**
+ * Run @p factory's policy over @p arrivals on a fresh node. The
+ * node's metrics and waste log move into the result, not copied.
+ */
+RunResult runExperiment(const workload::Catalog& catalog,
+                        const PolicyFactory& factory,
+                        trace::ArrivalSource& arrivals,
+                        platform::NodeConfig config = {});
+
+/** Run over a materialized vector, in any order (see Node::run). */
 RunResult runExperiment(const workload::Catalog& catalog,
                         const PolicyFactory& factory,
                         const std::vector<trace::Arrival>& arrivals,
                         platform::NodeConfig config = {});
 
-/** Convenience: expand @p set and run. */
+/** Stream @p set's expansion without materializing or copying it. */
 RunResult runExperiment(const workload::Catalog& catalog,
                         const PolicyFactory& factory,
                         const trace::TraceSet& set,

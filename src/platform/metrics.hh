@@ -43,6 +43,14 @@ class Metrics
     /** Record one completed invocation. */
     void record(const InvocationRecord& record);
 
+    /** Make room for @p invocations records and latency samples. */
+    void
+    reserve(std::size_t invocations)
+    {
+        _records.reserve(invocations);
+        _e2ePercentile.reserve(invocations);
+    }
+
     /** All records in completion order. */
     const std::vector<InvocationRecord>& records() const { return _records; }
 

@@ -11,11 +11,11 @@
  * Typical use:
  * @code
  *   auto catalog = workload::Catalog::standard20();
- *   auto trace = trace::generateAzureLike(catalog, {});
+ *   auto source = trace::makeAzureLikeSource(catalog, {});
  *   platform::Node node(catalog,
  *                       std::make_unique<core::RainbowCakePolicy>(catalog),
  *                       {});
- *   node.run(trace::expandArrivals(trace));
+ *   node.run(source);
  *   std::cout << node.metrics().meanStartupSeconds();
  * @endcode
  */
@@ -24,6 +24,7 @@
 #define RC_PLATFORM_NODE_HH_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "admission/admission_controller.hh"
@@ -35,6 +36,7 @@
 #include "policy/policy.hh"
 #include "sim/engine.hh"
 #include "sim/rng.hh"
+#include "trace/arrival_source.hh"
 #include "trace/replay.hh"
 #include "workload/catalog.hh"
 
@@ -81,10 +83,21 @@ class Node
     Node& operator=(const Node&) = delete;
 
     /**
-     * Replay @p arrivals to completion: schedules every arrival,
-     * runs the engine until all events (executions, keep-alive
-     * chains, pre-warms) drain, then terminates surviving idle
-     * containers so their waste is fully accounted.
+     * Replay @p arrivals to completion, pulling one arrival at a time.
+     * Before each arrival tick the engine fires every event strictly
+     * before it; then every arrival of that tick goes to the invoker,
+     * in stream order, ahead of the runtime events (executions,
+     * keep-alive chains, pre-warms, fault and controller ticks) due at
+     * the same tick. After the last arrival the engine drains, and
+     * surviving idle containers are terminated so their waste is
+     * fully accounted. The engine thus holds runtime events only.
+     */
+    void run(trace::ArrivalSource& arrivals);
+
+    /**
+     * Replay a materialized vector, in any order: arrivals fire in
+     * (time, vector position) order. A time-sorted vector streams in
+     * place; an unsorted one is stable-sorted by time into a copy.
      */
     void run(const std::vector<trace::Arrival>& arrivals);
 
@@ -136,6 +149,8 @@ class Node
     void finalize();
 
     const Metrics& metrics() const { return _metrics; }
+    /** Move the run's metrics out, leaving the node an empty Metrics. */
+    Metrics takeMetrics() { return std::exchange(_metrics, Metrics{}); }
     const ContainerPool& pool() const { return _pool; }
     ContainerPool& pool() { return _pool; }
     sim::Engine& engine() { return _engine; }

@@ -50,6 +50,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "container/container.hh"
@@ -295,6 +296,12 @@ class ContainerPool
 
     /** Closed, classified idle intervals (Fig. 8 data). */
     const stats::IntervalLog& wasteLog() const { return _waste; }
+
+    /** Move the waste log out, leaving the pool an empty one. */
+    stats::IntervalLog takeWasteLog()
+    {
+        return std::exchange(_waste, stats::IntervalLog{});
+    }
 
     // ---- recovery prewarm provenance -----------------------------------
 

@@ -200,4 +200,13 @@ Engine::runUntil(Tick horizon)
         _now = horizon;
 }
 
+void
+Engine::runBefore(Tick tick)
+{
+    while (pruneFront() && _heap[0].when < tick)
+        dispatchFront();
+    if (_now < tick)
+        _now = tick;
+}
+
 } // namespace rc::sim

@@ -21,9 +21,10 @@
  *    stale heap node is recognised on sight;
  *  - cancel() releases the slot in O(1) and leaves the event's heap
  *    node behind, where it costs 24 bytes until its tick surfaces.
- *    run(), runUntil() and step() drop stale nodes when they reach
- *    the front, before any horizon check, so whenever run() or
- *    runUntil() returns the front is the earliest live event.
+ *    run(), runUntil(), runBefore() and step() drop stale nodes when
+ *    they reach the front, before any horizon check, so whenever
+ *    run(), runUntil() or runBefore() returns the front is the
+ *    earliest live event.
  *
  * The replayed workloads dispatch one to 1.2 events per distinct tick
  * (DESIGN.md §7.1), so the heap does not batch events by tick.
@@ -101,6 +102,16 @@ class Engine
      */
     void runUntil(Tick horizon);
 
+    /**
+     * Fire every event strictly before @p tick, then leave the clock
+     * at @p tick (never moving it back), also when no event was due.
+     * Events at exactly @p tick stay pending, so work injected at
+     * @p tick from outside the engine runs before them: this is how a
+     * node fires its pulled arrivals ahead of the runtime events of
+     * their tick.
+     */
+    void runBefore(Tick tick);
+
     /** Execute at most one event. @return false if the queue is empty. */
     bool step();
 
@@ -124,9 +135,9 @@ class Engine
      * Conservative: the heap front may be a cancelled event, so the
      * returned tick can be earlier than the next event that will
      * actually fire — callers may poll too early, never too late.
-     * Right after run() or runUntil() the front is live and the tick
-     * is exact. The sharded cluster core uses this to skip idle nodes
-     * in a barrier window without touching the heap.
+     * Right after run(), runUntil() or runBefore() the front is live
+     * and the tick is exact. The sharded cluster core uses this to
+     * skip idle nodes in a barrier window without touching the heap.
      */
     Tick
     nextEventAt() const

@@ -32,6 +32,9 @@ class Percentile
     /** Add one sample. */
     void add(double x);
 
+    /** Make room for @p n samples up front. */
+    void reserve(std::size_t n) { _samples.reserve(n); }
+
     /** Number of samples. */
     std::size_t count() const { return _samples.size(); }
 

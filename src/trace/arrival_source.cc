@@ -41,9 +41,27 @@ bucketArrival(sim::Tick minuteStart, std::uint32_t count,
 } // namespace
 
 TraceSetArrivalSource::TraceSetArrivalSource(TraceSet set)
-    : _set(std::move(set))
+    : _owned(std::move(set))
 {
-    for (const FunctionTrace& trace : _set.traces()) {
+    init();
+}
+
+TraceSetArrivalSource::TraceSetArrivalSource(const TraceSet* borrowed)
+    : _borrowed(borrowed)
+{
+    init();
+}
+
+TraceSetArrivalSource
+TraceSetArrivalSource::borrowing(const TraceSet& set)
+{
+    return TraceSetArrivalSource(&set);
+}
+
+void
+TraceSetArrivalSource::init()
+{
+    for (const FunctionTrace& trace : traceSet().traces()) {
         _total += trace.totalInvocations();
         for (std::size_t minute = trace.perMinute.size(); minute > 0;
              --minute) {
@@ -71,7 +89,7 @@ TraceSetArrivalSource::cursorAfter(const Cursor& a, const Cursor& b)
 bool
 TraceSetArrivalSource::seekBucket(Cursor& cur, std::uint32_t minute) const
 {
-    const FunctionTrace& trace = _set.traces()[cur.trace];
+    const FunctionTrace& trace = traceSet().traces()[cur.trace];
     const std::size_t minutes = trace.perMinute.size();
     for (std::size_t m = minute; m < minutes; ++m) {
         const std::uint32_t count = trace.perMinute[m];
@@ -89,7 +107,7 @@ TraceSetArrivalSource::seekBucket(Cursor& cur, std::uint32_t minute) const
 bool
 TraceSetArrivalSource::advance(Cursor& cur) const
 {
-    const FunctionTrace& trace = _set.traces()[cur.trace];
+    const FunctionTrace& trace = traceSet().traces()[cur.trace];
     const std::uint32_t count = trace.perMinute[cur.minute];
     if (cur.index + 1 < count) {
         ++cur.index;
@@ -125,7 +143,7 @@ void
 TraceSetArrivalSource::reset()
 {
     _heap.clear();
-    const auto& traces = _set.traces();
+    const auto& traces = traceSet().traces();
     _heap.reserve(traces.size());
     for (std::size_t i = 0; i < traces.size(); ++i) {
         Cursor cur;

@@ -25,6 +25,7 @@
 #define RC_TRACE_ARRIVAL_SOURCE_HH_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/time.hh"
@@ -68,10 +69,10 @@ class ArrivalSource
 };
 
 /**
- * Adapter over an already-materialized, (time, function)-sorted
- * arrival vector. Non-owning: the vector must outlive the source.
- * This is the compatibility shim behind
- * `ShardedCluster::run(const std::vector<Arrival>&)`.
+ * Adapter over an already-materialized, time-sorted arrival vector.
+ * Non-owning: the vector must outlive the source. This is the
+ * compatibility shim behind `ShardedCluster::run(const
+ * std::vector<Arrival>&)` and `Node::run(const std::vector<Arrival>&)`.
  */
 class VectorArrivalSource final : public ArrivalSource
 {
@@ -99,14 +100,21 @@ class VectorArrivalSource final : public ArrivalSource
  * function's buckets (single invocation at the minute start, multiple
  * spread at kMinute/count), and a binary min-heap keyed
  * (time, function) merges the per-function streams into the exact
- * order `expandArrivals` + std::sort would produce. Owns the
- * TraceSet, so it doubles as the generator adapter (move a freshly
- * generated set in). Memory is O(functions), not O(invocations).
+ * order `expandArrivals` + std::sort would produce. It either owns
+ * the TraceSet, and so doubles as the generator adapter (move a
+ * freshly generated set in), or borrows one the caller keeps. Memory
+ * is O(functions), not O(invocations).
  */
 class TraceSetArrivalSource final : public ArrivalSource
 {
   public:
     explicit TraceSetArrivalSource(TraceSet set);
+
+    /**
+     * Stream @p set without copying it. Non-owning: the set must
+     * outlive the source.
+     */
+    static TraceSetArrivalSource borrowing(const TraceSet& set);
 
     sim::Tick horizon() const override { return _horizon; }
     std::uint64_t total() const override { return _total; }
@@ -117,15 +125,23 @@ class TraceSetArrivalSource final : public ArrivalSource
     /** Rewind to the first arrival (re-run the same stream). */
     void reset();
 
-    const TraceSet& traceSet() const { return _set; }
+    const TraceSet& traceSet() const
+    {
+        return _owned ? *_owned : *_borrowed;
+    }
 
   private:
+    explicit TraceSetArrivalSource(const TraceSet* borrowed);
+
+    /** Count the arrivals, find the horizon and rewind. */
+    void init();
+
     /** One function's position in its own expansion. */
     struct Cursor
     {
         sim::Tick time = 0;
         workload::FunctionId function = workload::kInvalidFunction;
-        std::uint32_t trace = 0;  ///< index into _set.traces()
+        std::uint32_t trace = 0;  ///< index into traceSet().traces()
         std::uint32_t minute = 0; ///< current bucket
         std::uint32_t index = 0;  ///< arrival index within the bucket
     };
@@ -141,7 +157,8 @@ class TraceSetArrivalSource final : public ArrivalSource
 
     void refreshCurrent();
 
-    TraceSet _set;
+    std::optional<TraceSet> _owned;      ///< empty when borrowing
+    const TraceSet* _borrowed = nullptr; ///< the caller's set, if borrowed
     std::vector<Cursor> _heap;
     Arrival _current;
     sim::Tick _horizon = 0;

@@ -164,6 +164,26 @@ TEST(Engine, RunUntilAdvancesClockWithoutEvents)
     EXPECT_EQ(engine.now(), kMinute);
 }
 
+TEST(Engine, RunBeforeStopsShortOfTheTick)
+{
+    Engine engine;
+    std::vector<int> order;
+    engine.schedule(10, [&] { order.push_back(1); });
+    engine.schedule(20, [&] { order.push_back(2); });
+    engine.runBefore(20);
+    EXPECT_EQ(order, (std::vector<int>{1}));
+    EXPECT_EQ(engine.now(), 20);
+    EXPECT_EQ(engine.nextEventAt(), 20);
+    engine.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+
+    // With nothing due, only the clock moves, and never backwards.
+    engine.runBefore(kMinute);
+    EXPECT_EQ(engine.now(), kMinute);
+    engine.runBefore(kSecond);
+    EXPECT_EQ(engine.now(), kMinute);
+}
+
 TEST(Engine, StepExecutesExactlyOneEvent)
 {
     Engine engine;
@@ -296,9 +316,10 @@ TEST(Engine, InterleavedScheduleCancelMatchesReferenceModel)
 {
     // Reference model: a plain list of (when, seq, tag) stably sorted
     // by (when, seq), minus cancelled entries, gives the firing order
-    // the engine must reproduce exactly. runUntil checkpoints fire a
-    // prefix of that order; every later schedule lands at or after
-    // the horizon, so the prefixes concatenate into the same order.
+    // the engine must reproduce exactly. runUntil and runBefore
+    // checkpoints fire a prefix of that order; every later schedule
+    // lands at or after the clock, so the prefixes concatenate into
+    // the same order.
     struct RefEvent
     {
         Tick when;
@@ -323,7 +344,46 @@ TEST(Engine, InterleavedScheduleCancelMatchesReferenceModel)
 
     std::uint64_t seq = 0;
     Tick horizon = 0;
+    std::vector<Tick> whenOfTag(5000);
+    const auto earliestLive = [&] {
+        Tick earliest = std::numeric_limits<Tick>::max();
+        for (const auto& entry : live)
+            earliest = std::min(earliest, reference[entry.second].when);
+        return earliest;
+    };
+    // runBefore(tick) must fire exactly the live events before the
+    // tick, leave the clock at the tick and prune the front.
+    const auto runBeforeCheckpoint = [&](Tick tick) {
+        const std::size_t firedBefore = fired.size();
+        const auto due = static_cast<std::size_t>(
+            std::count_if(live.begin(), live.end(), [&](const auto& entry) {
+                return reference[entry.second].when < tick;
+            }));
+        engine.runBefore(tick);
+        ASSERT_EQ(fired.size() - firedBefore, due)
+            << "runBefore(" << tick << ")";
+        for (std::size_t k = firedBefore; k < fired.size(); ++k) {
+            EXPECT_LT(whenOfTag[static_cast<std::size_t>(fired[k])], tick)
+                << "runBefore(" << tick << ") fired tag " << fired[k];
+        }
+        EXPECT_EQ(engine.now(), tick);
+        std::erase_if(live, [&](const auto& entry) {
+            return reference[entry.second].when < tick;
+        });
+        EXPECT_EQ(engine.nextEventAt(), earliestLive())
+            << "after runBefore(" << tick << ")";
+        horizon = tick;
+    };
     for (int i = 0; i < 5000; ++i) {
+        if (i % 100 == 49) {
+            // First up to the earliest live tick, where nothing is due
+            // and only the clock moves, then a few ticks past it.
+            const Tick earliest = earliestLive();
+            if (earliest != std::numeric_limits<Tick>::max())
+                runBeforeCheckpoint(earliest);
+            runBeforeCheckpoint(horizon + static_cast<Tick>(next() % 40));
+            continue;
+        }
         if (i % 100 == 99) {
             // Checkpoint: everything at or before the horizon fires,
             // and the front then shows the earliest live tick. The
@@ -333,10 +393,7 @@ TEST(Engine, InterleavedScheduleCancelMatchesReferenceModel)
             std::erase_if(live, [&](const auto& entry) {
                 return reference[entry.second].when <= horizon;
             });
-            Tick earliest = std::numeric_limits<Tick>::max();
-            for (const auto& entry : live)
-                earliest = std::min(earliest, reference[entry.second].when);
-            EXPECT_EQ(engine.nextEventAt(), earliest)
+            EXPECT_EQ(engine.nextEventAt(), earliestLive())
                 << "after runUntil(" << horizon << ")";
             continue;
         }
@@ -354,6 +411,7 @@ TEST(Engine, InterleavedScheduleCancelMatchesReferenceModel)
             const EventId id =
                 engine.schedule(when, [&fired, tag] { fired.push_back(tag); });
             reference.push_back(RefEvent{when, seq++, tag});
+            whenOfTag[static_cast<std::size_t>(tag)] = when;
             live.emplace_back(id, reference.size() - 1);
         }
     }
