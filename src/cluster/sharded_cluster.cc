@@ -108,9 +108,9 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
     _seenSuccesses.assign(_nodes.size(), 0);
     _seenTransitions.assign(_nodes.size(), 0);
 
-    // Gray-failure network model + tail-tolerant dispatch. Ticketed
-    // dispatch is armed when either the network plan or the domain
-    // plan is active (recovery orchestration and retry feedback track
+    // Gray-failure network model + tail-tolerant dispatch. The request
+    // tracker is built when either the network plan or the domain plan
+    // is active (recovery orchestration and retry feedback track
     // requests end-to-end just like hedging does); the net-only
     // machinery — link sampling, hedges, partitions, quarantine —
     // stays gated on the network plan. A zero-knob fault plan builds
@@ -122,8 +122,6 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
                                                       _nodes.size());
         _requests = std::make_unique<RequestTracker>(plan, _catalog.size(),
                                                      *_health, _obs);
-        for (auto& node : _nodes)
-            node->enableTicketing();
     }
 }
 

@@ -225,6 +225,7 @@ class Container
         Container* userPrev = nullptr;   //!< global idle-User list
         Container* userNext = nullptr;
         std::uint8_t bucket = 0;    //!< pool-private membership tag
+        bool claimed = false;       //!< in-flight init an invocation awaits
         std::uint32_t bucketKey = 0; //!< key the bucket was filed under
     };
     friend class rc::platform::ContainerPool;

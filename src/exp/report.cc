@@ -236,8 +236,9 @@ percentChange(double baseline, double ours)
         return "n/a";
     const double change = (ours - baseline) / baseline * 100.0;
     const char sign = change >= 0.0 ? '+' : '-';
-    return std::string(1, sign) +
-           stats::formatNumber(std::abs(change), 1) + "%";
+    return std::string(1, sign)
+        .append(stats::formatNumber(std::abs(change), 1))
+        .append("%");
 }
 
 } // namespace rc::exp

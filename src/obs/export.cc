@@ -134,7 +134,7 @@ functionLabel(std::uint32_t function)
 {
     if (function == 0xffffffffU)
         return "-";
-    return "f" + std::to_string(function);
+    return std::string("f").append(std::to_string(function));
 }
 
 /** Rebuilds per-container state spans from the event stream. */

@@ -20,21 +20,24 @@ Invoker::Invoker(sim::Engine& engine, const workload::Catalog& catalog,
     _policy.setObserver(observer);
 }
 
-void
-Invoker::noteDispatch(const Pending& inv, container::ContainerId cid,
-                      StartupType type, obs::Counter counter)
+Invoker::InFlight&
+Invoker::bind(Invocation& inv, container::ContainerId cid, StartupType type,
+              obs::Counter counter)
 {
-    if (_obs == nullptr)
-        return;
-    if (_obs->spansEnabled()) {
+    if (_obs != nullptr) {
         // Any time between the last stage and this binding was spent
         // waiting in the queue (zero-length waits are skipped).
-        emitStageSpan(inv, obs::SpanStage::Queue, _engine.now());
+        emitStage(inv, _engine.now(), {});
+        _obs->counters().bump(counter, _engine.now());
+        _obs->emit(_engine.now(), obs::EventType::InvocationDispatched, cid,
+                   inv.function, static_cast<std::uint8_t>(type), 0,
+                   sim::toSeconds(inv.queueWait));
     }
-    _obs->counters().bump(counter, _engine.now());
-    _obs->emit(_engine.now(), obs::EventType::InvocationDispatched, cid,
-               inv.function, static_cast<std::uint8_t>(type), 0,
-               sim::toSeconds(inv.queueWait));
+    InFlight& row = _inFlight[cid];
+    row.bound = true;
+    row.type = type;
+    row.inv = inv;
+    return row;
 }
 
 // ---- span tracing --------------------------------------------------------
@@ -69,136 +72,79 @@ abortedInstallStage(StartupType type)
     }
 }
 
-} // namespace
-
-void
-Invoker::emitStageSpan(const Pending& inv, obs::SpanStage stage,
-                       sim::Tick end, std::uint64_t container,
-                       bool aborted, std::uint8_t info)
+/** Install from nothing up to @p top, scaled by the policy's
+ *  cold-start factor (cold starts and pre-warms of any depth). */
+sim::Tick
+scratchInstall(const policy::Policy& policy,
+               const workload::FunctionProfile& profile, Layer top)
 {
-    if (inv.id == 0)
-        return;
-    const auto it = _liveSpans.find(inv.id);
-    if (it == _liveSpans.end())
-        return;
-    LiveSpan& live = it->second;
-    const sim::Tick start = live.lastEnd;
-    live.lastEnd = end;
-    if (end == start)
-        return;
-    if (live.nextSeq > 0xff)
-        return; // id space exhausted (>254 stages); tree check flags it
-    obs::Span span;
-    span.id = (inv.id << 8) | live.nextSeq++;
-    span.parent = (inv.id << 8) | 1U;
-    span.invocation = inv.id;
-    span.container = container;
-    span.start = start;
-    span.end = end;
-    span.function = inv.function;
-    span.node = _obs->spanNode();
-    span.stage = stage;
-    span.info = info;
-    span.attempt = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(inv.attempt, 0xff));
-    span.flags = aborted ? obs::kSpanAborted : 0;
-    _obs->emitSpan(span);
+    return static_cast<sim::Tick>(
+        static_cast<double>(profile.installLatency(Layer::None, top)) *
+        policy.coldStartFactor());
 }
 
-void
-Invoker::emitInitSpans(const Pending& inv, StartupType type,
-                       std::uint64_t container, sim::Tick end)
+/** The ticket outcome a root-span outcome reports; Rerouted reports
+ *  none (the coordinator re-points the ticket). */
+std::uint8_t
+ticketKind(obs::SpanOutcome outcome)
 {
-    const auto it = _liveSpans.find(inv.id);
-    if (it == _liveSpans.end())
-        return;
-    const sim::Tick start = it->second.lastEnd;
-    const sim::Tick total = end - start;
-    const auto& costs = _catalog.at(inv.function).costs();
-    // The layers this install actually built, per the lookup ladder;
-    // the elapsed interval is split across them proportionally to the
-    // catalog stage costs so per-layer attribution matches the cost
-    // model even when policies scale or bias the install.
-    const sim::Tick wLang = costs.bareToLang + costs.langInit;
-    const sim::Tick wUser = costs.langToUser + costs.userInit;
-    switch (type) {
-      case StartupType::Load:
-        emitStageSpan(inv, obs::SpanStage::InitWait, end, container);
-        return;
-      case StartupType::User: // foreign-User specialize (Pagurus)
-      case StartupType::Lang: // langToUser + userInit on a Lang hit
-        emitStageSpan(inv, obs::SpanStage::InitUser, end, container);
-        return;
-      case StartupType::Bare: {
-        const sim::Tick sum = wLang + wUser;
-        const sim::Tick langPart = sum > 0 ? total * wLang / sum : 0;
-        emitStageSpan(inv, obs::SpanStage::InitLang, start + langPart,
-                      container);
-        emitStageSpan(inv, obs::SpanStage::InitUser, end, container);
-        return;
-      }
-      case StartupType::Cold: {
-        const sim::Tick wBare = costs.bareInit;
-        const sim::Tick sum = wBare + wLang + wUser;
-        const sim::Tick barePart = sum > 0 ? total * wBare / sum : 0;
-        const sim::Tick langPart = sum > 0 ? total * wLang / sum : 0;
-        emitStageSpan(inv, obs::SpanStage::InitBare, start + barePart,
-                      container);
-        emitStageSpan(inv, obs::SpanStage::InitLang,
-                      start + barePart + langPart, container);
-        emitStageSpan(inv, obs::SpanStage::InitUser, end, container);
-        return;
-      }
+    switch (outcome) {
+      case obs::SpanOutcome::Completed: return TicketOutcome::kCompleted;
+      case obs::SpanOutcome::Failed: return TicketOutcome::kFailed;
+      case obs::SpanOutcome::Cancelled: return TicketOutcome::kCancelled;
+      default: return TicketOutcome::kShed;
     }
 }
 
-std::uint64_t
-Invoker::closeRootSpan(const Pending& inv, obs::SpanOutcome outcome)
+} // namespace
+
+void
+Invoker::emitStage(Invocation& inv, sim::Tick end, const StageLabel& label)
 {
-    if (inv.id == 0)
-        return 0;
-    const auto it = _liveSpans.find(inv.id);
-    if (it == _liveSpans.end())
-        return 0;
+    if (inv.span.invocation == 0)
+        return;
     obs::Span span;
-    span.id = (inv.id << 8) | 1U;
-    span.parent = it->second.origin;
-    span.invocation = inv.id;
-    span.start = inv.arrival;
-    span.end = _engine.now();
+    span.container = label.container;
     span.function = inv.function;
     span.node = _obs->spanNode();
-    span.stage = obs::SpanStage::Invocation;
-    span.info = static_cast<std::uint8_t>(outcome);
-    span.attempt = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(inv.attempt, 0xff));
-    _obs->emitSpan(span);
-    _liveSpans.erase(it);
-    return span.id;
+    span.stage = label.stage;
+    span.info = label.info;
+    span.attempt = spanAttempt(inv.attempt);
+    span.flags = label.aborted ? obs::kSpanAborted : 0;
+    if (inv.span.closeStage(end, span))
+        _obs->emitSpan(span);
+}
+
+std::uint64_t
+Invoker::finish(Invocation& inv, obs::SpanOutcome outcome,
+                const StageLabel& last, double execSeconds)
+{
+    const sim::Tick now = _engine.now();
+    if (inv.ticket != 0 && outcome != obs::SpanOutcome::Rerouted) {
+        const bool completed = outcome == obs::SpanOutcome::Completed;
+        _ticketLog.push_back(
+            {.ticket = inv.ticket, .at = now,
+             .latencySeconds = completed ? sim::toSeconds(now - inv.arrival)
+                                         : 0.0,
+             .execSeconds = execSeconds, .kind = ticketKind(outcome)});
+    }
+    if (inv.span.invocation == 0)
+        return 0;
+    emitStage(inv, now, last);
+    obs::Span root;
+    root.function = inv.function;
+    root.node = _obs->spanNode();
+    root.attempt = spanAttempt(inv.attempt);
+    inv.span.closeRoot(inv.arrival, now, outcome, root);
+    _obs->emitSpan(root);
+    return root.id;
 }
 
 void
 Invoker::closeStrandedSpans()
 {
-    for (const auto& inv : _queue) {
-        if (spansOn()) {
-            emitStageSpan(inv, obs::SpanStage::Queue, _engine.now());
-            closeRootSpan(inv, obs::SpanOutcome::Stranded);
-        }
-        // Stranded work is terminal for the cluster's hedge ledger too.
-        noteTicketTerminal(inv, TicketOutcome::kShed, 0.0, 0.0);
-    }
-}
-
-sim::Tick
-Invoker::coldInitLatency(const workload::FunctionProfile& p) const
-{
-    // All three stage installs plus the transitions crossed on the
-    // way up; the final User-to-Run dispatch is added at execution
-    // start so it is charged uniformly across every startup type.
-    const auto& costs = p.costs();
-    return costs.bareInit + costs.bareToLang + costs.langInit +
-           costs.langToUser + costs.userInit;
+    for (auto& inv : _queue)
+        finish(inv, obs::SpanOutcome::Stranded);
 }
 
 void
@@ -213,51 +159,35 @@ Invoker::onArrival(workload::FunctionId function, std::uint64_t originSpan,
     // History feeds before any admission decision: a degraded run must
     // leave the policy's recorder identical to an uncontrolled one.
     _policy.onArrival(function);
-    Pending inv{function, _engine.now(), 0, 0};
+    Invocation inv;
+    inv.function = function;
+    inv.arrival = _engine.now();
     inv.ticket = ticket;
-    if (spansOn()) {
-        inv.id = nextInvocationId();
-        LiveSpan& live = _liveSpans[inv.id];
-        live.lastEnd = _engine.now();
-        live.origin = originSpan;
+    if (_obs != nullptr && _obs->spansEnabled()) {
+        inv.span.invocation =
+            (static_cast<std::uint64_t>(_obs->spanNode()) << 40) |
+            _nextInvocationId++;
+        inv.span.origin = originSpan;
+        inv.span.lastEnd = inv.arrival;
     }
     if (ticket != 0) {
-        _liveTickets.insert(ticket);
-        TicketOutcome admitted;
-        admitted.ticket = ticket;
-        admitted.at = _engine.now();
-        admitted.kind = TicketOutcome::kAdmitted;
-        admitted.rootSpan = inv.id != 0 ? ((inv.id << 8) | 1U) : 0;
-        _ticketLog.push_back(admitted);
+        _ticketLog.push_back({.ticket = ticket, .at = inv.arrival,
+                              .rootSpan = inv.span.rootId()});
     }
     if (_admission != nullptr &&
         !_admission->tryAdmit(function, _engine.now())) {
         rejectArrival(inv, 0); // per-function rate limit
         return;
     }
-    if (isDown() || !tryDispatch(inv)) {
-        if (_admission != nullptr) {
-            if (_admission->shedInsteadOfQueue()) {
-                shedInvocation(inv, 1); // critical pressure: no queueing
-                return;
-            }
-            const std::uint32_t bound = _admission->plan().maxQueueDepth;
-            if (bound > 0 && _queue.size() >= bound) {
-                rejectArrival(inv, 1); // bounded queue is full
-                return;
-            }
-        }
-        enqueue(inv);
-    }
+    if (isDown() || !tryDispatch(inv))
+        queueOrShed(inv, /*fresh=*/true);
 }
 
 void
-Invoker::rejectArrival(const Pending& inv, std::uint8_t reason)
+Invoker::rejectArrival(Invocation& inv, std::uint8_t reason)
 {
     ++_rejected;
-    noteTicketTerminal(inv, TicketOutcome::kShed, 0.0, 0.0);
-    if (spansOn())
-        closeRootSpan(inv, obs::SpanOutcome::Rejected);
+    finish(inv, obs::SpanOutcome::Rejected);
     _admission->noteShedForPressure();
     RC_LOG(Debug, "rejecting invocation of f" << inv.function
                   << " (reason " << static_cast<int>(reason) << ")");
@@ -270,14 +200,10 @@ Invoker::rejectArrival(const Pending& inv, std::uint8_t reason)
 }
 
 void
-Invoker::shedInvocation(const Pending& inv, std::uint8_t cause)
+Invoker::shedInvocation(Invocation& inv, std::uint8_t cause)
 {
-    noteTicketTerminal(inv, TicketOutcome::kShed, 0.0, 0.0);
-    if (spansOn()) {
-        emitStageSpan(inv, obs::SpanStage::Queue, _engine.now());
-        closeRootSpan(inv, cause == 0 ? obs::SpanOutcome::ShedDeadline
-                                      : obs::SpanOutcome::ShedPressure);
-    }
+    finish(inv, cause == 0 ? obs::SpanOutcome::ShedDeadline
+                           : obs::SpanOutcome::ShedPressure);
     _admission->noteShedForPressure();
     if (cause == 0)
         ++_shedDeadline;
@@ -296,39 +222,25 @@ Invoker::shedInvocation(const Pending& inv, std::uint8_t cause)
 }
 
 void
-Invoker::queueOrShed(const Pending& inv)
+Invoker::queueOrShed(Invocation& inv, bool fresh)
 {
     if (_admission != nullptr) {
         const std::uint32_t bound = _admission->plan().maxQueueDepth;
-        if (_admission->shedInsteadOfQueue() ||
-            (bound > 0 && _queue.size() >= bound)) {
+        if (_admission->shedInsteadOfQueue()) {
+            shedInvocation(inv, 1); // critical pressure: no queueing
+            return;
+        }
+        if (bound > 0 && _queue.size() >= bound) {
+            // A full queue turns a fresh arrival away at the door.
             // Already-admitted work (retries) cannot be "rejected";
             // dropping it is a pressure shed either way.
-            shedInvocation(inv, 1);
+            if (fresh)
+                rejectArrival(inv, 1);
+            else
+                shedInvocation(inv, 1);
             return;
         }
     }
-    enqueue(inv);
-}
-
-void
-Invoker::onQueueDeadline(std::uint64_t seq)
-{
-    for (auto it = _queue.begin(); it != _queue.end(); ++it) {
-        if (it->seq != seq)
-            continue;
-        const Pending inv = *it;
-        _queue.erase(it);
-        shedInvocation(inv, 0);
-        drainQueue(); // the head may have been the expired item
-        return;
-    }
-    // Stale deadline: the item bound in time (or a crash extracted it).
-}
-
-void
-Invoker::enqueue(const Pending& inv)
-{
     _queue.push_back(inv);
     if (_queue.size() > _peakQueueDepth)
         _peakQueueDepth = _queue.size();
@@ -336,7 +248,7 @@ Invoker::enqueue(const Pending& inv)
         _admission->plan().queueDeadlineSeconds > 0.0) {
         // Tag the parked item and arm its shedding deadline; binding
         // before expiry simply leaves a stale event behind.
-        Pending& parked = _queue.back();
+        Invocation& parked = _queue.back();
         parked.seq = _nextSeq++;
         const std::uint64_t seq = parked.seq;
         _engine.scheduleAfter(
@@ -355,8 +267,23 @@ Invoker::enqueue(const Pending& inv)
     }
 }
 
+void
+Invoker::onQueueDeadline(std::uint64_t seq)
+{
+    for (auto it = _queue.begin(); it != _queue.end(); ++it) {
+        if (it->seq != seq)
+            continue;
+        Invocation inv = *it;
+        _queue.erase(it);
+        shedInvocation(inv, 0);
+        drainQueue(); // the head may have been the expired item
+        return;
+    }
+    // Stale deadline: the item bound in time (or a crash extracted it).
+}
+
 bool
-Invoker::tryDispatch(const Pending& inv)
+Invoker::tryDispatch(Invocation& inv)
 {
     if (isDown())
         return false; // crashed node: everything waits for the restart
@@ -374,17 +301,17 @@ Invoker::tryDispatch(const Pending& inv)
     if (Container* c = _pool.findIdleUser(inv.function)) {
         const StartupType type = c->everExecuted() ? StartupType::Load
                                                    : StartupType::User;
-        noteDispatch(inv, c->id(), type, obs::Counter::HitUser);
-        dispatchUserHit(inv, *c, type, 0);
+        InFlight& row = bind(inv, c->id(), type, obs::Counter::HitUser);
+        _pool.beginExecution(*c);
+        startExecution(row, *c);
         return true;
     }
 
-    // 2. In-flight initialization toward this function: latch on.
+    // 2. In-flight initialization toward this function: latch on. The
+    // pre-warm's in-flight row keeps its event; the latch binds to it.
     if (Container* c = _pool.findUnclaimedInit(inv.function)) {
         _pool.claim(*c);
-        _attachments[c->id()] = Attachment{inv, StartupType::Load};
-        noteDispatch(inv, c->id(), StartupType::Load,
-                     obs::Counter::HitLoad);
+        bind(inv, c->id(), StartupType::Load, obs::Counter::HitLoad);
         return true;
     }
 
@@ -401,9 +328,8 @@ Invoker::tryDispatch(const Pending& inv)
         if (!_pool.beginRepurpose(*c, profile))
             continue;
         _pool.claim(*c);
-        _attachments[c->id()] = Attachment{inv, StartupType::User};
-        noteDispatch(inv, c->id(), StartupType::User,
-                     obs::Counter::HitForeignUser);
+        bind(inv, c->id(), StartupType::User,
+             obs::Counter::HitForeignUser);
         scheduleInit(c->id(), specialize, false, false, true);
         return true;
     }
@@ -424,39 +350,19 @@ Invoker::tryDispatch(const Pending& inv)
     return tryDispatchCold(inv);
 }
 
-void
-Invoker::dispatchUserHit(const Pending& inv, Container& c,
-                         StartupType type, sim::Tick extraLatency)
-{
-    _pool.beginExecution(c);
-    startExecution(inv, c, type,
-                   _catalog.at(inv.function).costs().userToRun +
-                       extraLatency);
-}
-
 bool
-Invoker::tryDispatchPartial(const Pending& inv, Container& c,
-                            StartupType type)
+Invoker::tryDispatchPartial(Invocation& inv, Container& c, StartupType type)
 {
     const auto& profile = _catalog.at(inv.function);
-    const auto& costs = profile.costs();
-
-    sim::Tick install = 0;
-    switch (c.layer()) {
-      case Layer::Lang:
-        install = costs.langToUser + costs.userInit;
-        break;
-      case Layer::Bare:
-        install = costs.bareToLang + costs.langInit + costs.langToUser +
-                  costs.userInit;
-        break;
-      default:
+    if (c.layer() != Layer::Lang && c.layer() != Layer::Bare)
         sim::panic("Invoker::tryDispatchPartial: unexpected layer");
-    }
-    install = static_cast<sim::Tick>(
-                  static_cast<double>(install) *
-                  _policy.partialStartLatencyFactor()) +
-              _policy.partialStartLatencyBias();
+    // The install covers the stages above the cached layer.
+    const Layer cached = c.layer();
+    sim::Tick install =
+        static_cast<sim::Tick>(
+            static_cast<double>(profile.installLatency(cached, Layer::User)) *
+            _policy.partialStartLatencyFactor()) +
+        _policy.partialStartLatencyBias();
 
     container::Container* target = nullptr;
     if (_policy.forkSharedLayers()) {
@@ -472,19 +378,16 @@ Invoker::tryDispatchPartial(const Pending& inv, Container& c,
         _pool.claim(c);
         target = &c;
     }
-    _attachments[target->id()] = Attachment{inv, type};
-    noteDispatch(inv, target->id(), type,
-                 type == StartupType::Lang ? obs::Counter::HitLang
-                                           : obs::Counter::HitBare);
-    // The install covers the stages above the cached layer.
-    scheduleInit(target->id(), install,
-                 /*bare=*/false, /*lang=*/c.layer() == Layer::Bare,
-                 /*user=*/true);
+    bind(inv, target->id(), type,
+         type == StartupType::Lang ? obs::Counter::HitLang
+                                   : obs::Counter::HitBare);
+    scheduleInit(target->id(), install, /*bare=*/false,
+                 /*lang=*/cached == Layer::Bare, /*user=*/true);
     return true;
 }
 
 bool
-Invoker::tryDispatchCold(const Pending& inv)
+Invoker::tryDispatchCold(Invocation& inv)
 {
     const auto& profile = _catalog.at(inv.function);
     const double auxMb = _policy.auxiliaryMemoryMb(profile);
@@ -499,60 +402,82 @@ Invoker::tryDispatchCold(const Pending& inv)
     if (auxMb > 0.0)
         _pool.setAuxiliaryMemory(*c, auxMb);
 
-    const auto install = static_cast<sim::Tick>(
-        static_cast<double>(coldInitLatency(profile)) *
-        _policy.coldStartFactor());
-    _attachments[c->id()] = Attachment{inv, StartupType::Cold};
-    noteDispatch(inv, c->id(), StartupType::Cold,
-                 obs::Counter::ColdStart);
-    scheduleInit(c->id(), install, true, true, true);
+    bind(inv, c->id(), StartupType::Cold, obs::Counter::ColdStart);
+    scheduleInit(c->id(), scratchInstall(_policy, profile, Layer::User), true,
+                 true, true);
     return true;
 }
 
 void
-Invoker::onInitComplete(container::ContainerId cid)
+Invoker::onInitEnd(container::ContainerId cid)
 {
-    if (trackingEvents())
-        _initEvents.erase(cid);
+    const auto it = _inFlight.find(cid);
     Container* c = _pool.byId(cid);
-    if (!c || c->state() != State::Initializing)
-        sim::panic("Invoker::onInitComplete: container vanished mid-init");
-    _pool.finishInit(*c);
+    if (it == _inFlight.end() || !c || c->state() != State::Initializing)
+        sim::panic("Invoker::onInitEnd: container vanished mid-init");
 
-    auto it = _attachments.find(cid);
-    if (it == _attachments.end()) {
+    InFlight& row = it->second;
+    if (row.failedStage != Layer::None) {
+        // Injected init failure: kill the container, retry its
+        // invocation.
+        const Layer stage = row.failedStage;
+        if (_obs != nullptr) {
+            _obs->counters().bump(obs::Counter::FaultInjected,
+                                  _engine.now());
+            _obs->emit(_engine.now(), obs::EventType::FaultInjected, cid,
+                       c->initFunction(), 0,
+                       static_cast<std::uint8_t>(stage));
+        }
+        RC_LOG(Debug, "init of container " << cid << " failed at stage "
+                      << static_cast<int>(stage));
+        if (row.bound) {
+            emitStage(row.inv, _engine.now(),
+                      {row.type == StartupType::Load
+                           ? obs::SpanStage::InitWait
+                           : initStageForLayer(stage),
+                       cid, /*aborted=*/true,
+                       static_cast<std::uint8_t>(stage)});
+        }
+        _policy.onContainerFailed(*c);
+        _pool.kill(*c, obs::KillCause::InitFault);
+        if (row.bound)
+            scheduleRetry(row.inv);
+        _inFlight.erase(it);
+        drainQueue();
+        return;
+    }
+
+    _pool.finishInit(*c);
+    if (!row.bound) {
         // Unclaimed pre-warm finished: enter keep-alive and see if a
         // queued invocation can use the new capacity.
+        _inFlight.erase(it);
         scheduleKeepAlive(*c);
         drainQueue();
         return;
     }
-    const Attachment attachment = it->second;
-    _attachments.erase(it);
-    if (spansOn()) {
-        emitInitSpans(attachment.pending, attachment.type, cid,
-                      _engine.now());
+    if (row.inv.span.invocation != 0) {
+        std::array<InitStage, 3> stages;
+        const std::size_t n =
+            initStages(row.type, _catalog.at(row.inv.function),
+                       row.inv.span.lastEnd, _engine.now(), stages);
+        for (std::size_t i = 0; i < n; ++i)
+            emitStage(row.inv, stages[i].end, {stages[i].stage, cid});
     }
     _pool.beginExecution(*c);
-    startExecution(attachment.pending, *c, attachment.type,
-                   _catalog.at(attachment.pending.function)
-                       .costs().userToRun);
+    startExecution(row, *c);
 }
 
 void
-Invoker::startExecution(const Pending& inv, Container& c, StartupType type,
-                        sim::Tick dispatchOverhead)
+Invoker::startExecution(InFlight& row, Container& c)
 {
+    const Invocation& inv = row.inv;
     const auto& profile = _catalog.at(inv.function);
-    sim::Tick execution = profile.sampleExecution(_rng);
-    if (!_degraded.empty()) {
-        // Gray window: the node is slow, not down — stretch the run.
-        const double gray = degradedFactor(&DegradedSpan::execFactor);
-        if (gray > 1.0) {
-            execution = static_cast<sim::Tick>(
-                static_cast<double>(execution) * gray);
-        }
-    }
+    // The User-to-Run dispatch is charged here, alike for every
+    // startup type.
+    const sim::Tick dispatchOverhead = profile.costs().userToRun;
+    sim::Tick execution = grayStretch(profile.sampleExecution(_rng),
+                                      &DegradedSpan::execFactor);
     const sim::Tick bindTime = _engine.now();
     const sim::Tick startupLatency =
         (bindTime - inv.arrival) + dispatchOverhead;
@@ -568,14 +493,16 @@ Invoker::startExecution(const Pending& inv, Container& c, StartupType type,
 
     policy::StartupObservation observation;
     observation.function = inv.function;
-    observation.type = type;
+    observation.type = row.type;
     observation.startupLatency = startupLatency;
     _policy.onStartupResolved(observation);
 
-    ++_inFlight;
+    ++_executing;
     if (_admission != nullptr)
         _admission->onExecStart(inv.function);
-    const container::ContainerId cid = c.id();
+    row.executing = true;
+    row.started = bindTime;
+    row.startupLatency = startupLatency;
 
     if (_fault != nullptr) {
         if (_overloadUntil > bindTime) {
@@ -585,78 +512,86 @@ Invoker::startExecution(const Pending& inv, Container& c, StartupType type,
                 static_cast<double>(execution) *
                 _fault->plan().overloadSlowdown);
         }
-        const fault::ExecFault outcome = _fault->sampleExecFault();
-        if (outcome == fault::ExecFault::Crash) {
-            // Dies partway through; the completion never fires.
-            const sim::Tick death = std::max<sim::Tick>(
-                1, static_cast<sim::Tick>(static_cast<double>(execution) *
-                                          _fault->crashFraction()));
-            const sim::EventId ev = _engine.scheduleAfter(
-                dispatchOverhead + death,
-                [this, cid] { onExecFault(cid, false); });
-            _execs[cid] = ExecTracking{inv, ev, bindTime};
-            return;
+        row.fault = _fault->sampleExecFault();
+    }
+    sim::Tick runFor = execution;
+    if (row.fault == fault::ExecFault::Crash) {
+        // Dies partway through; the completion never fires.
+        runFor = std::max<sim::Tick>(
+            1, static_cast<sim::Tick>(static_cast<double>(execution) *
+                                      _fault->crashFraction()));
+    } else if (row.fault == fault::ExecFault::Wedge) {
+        // Hangs forever; the execution-timeout watchdog kills it.
+        runFor = _fault->plan().execTimeout;
+    }
+    row.execution = execution;
+    const container::ContainerId cid = c.id();
+    row.event = _engine.scheduleAfter(dispatchOverhead + runFor,
+                                      [this, cid] { onExecEnd(cid); });
+}
+
+void
+Invoker::onExecEnd(container::ContainerId cid)
+{
+    const auto it = _inFlight.find(cid);
+    Container* c = _pool.byId(cid);
+    if (it == _inFlight.end() || !c || c->state() != State::Busy)
+        sim::panic("Invoker::onExecEnd: executing container vanished");
+    InFlight row = std::move(_inFlight.extract(it).mapped());
+    --_executing;
+    if (_admission != nullptr)
+        _admission->onExecFinish(row.inv.function);
+
+    if (row.fault != fault::ExecFault::None) {
+        // Injected execution fault (a crash, or the wedge watchdog
+        // firing): kill the container, retry the invocation.
+        const bool wedged = row.fault == fault::ExecFault::Wedge;
+        if (_obs != nullptr) {
+            _obs->counters().bump(obs::Counter::FaultInjected,
+                                  _engine.now());
+            _obs->emit(_engine.now(), obs::EventType::FaultInjected, cid,
+                       row.inv.function,
+                       static_cast<std::uint8_t>(wedged ? 2 : 1), 0);
+            if (wedged) {
+                _obs->emit(_engine.now(), obs::EventType::ExecTimeoutKill,
+                           cid, row.inv.function);
+            }
         }
-        if (outcome == fault::ExecFault::Wedge) {
-            // Hangs forever; the execution-timeout watchdog kills it.
-            const sim::EventId ev = _engine.scheduleAfter(
-                dispatchOverhead + _fault->plan().execTimeout,
-                [this, cid] { onExecFault(cid, true); });
-            _execs[cid] = ExecTracking{inv, ev, bindTime};
-            return;
-        }
+        emitStage(row.inv, _engine.now(),
+                  {obs::SpanStage::Exec, cid, /*aborted=*/true,
+                   static_cast<std::uint8_t>(wedged ? 2 : 1)});
+        _policy.onContainerFailed(*c);
+        _pool.forceKill(*c, wedged ? obs::KillCause::WedgeTimeout
+                                   : obs::KillCause::ExecFault);
+        scheduleRetry(row.inv);
+        drainQueue();
+        return;
     }
 
-    const sim::EventId completion = _engine.scheduleAfter(
-        dispatchOverhead + execution,
-        [this, inv, cid, type, startupLatency, execution] {
-            if (trackingEvents())
-                _execs.erase(cid);
-            Container* done = _pool.byId(cid);
-            if (!done || done->state() != State::Busy)
-                sim::panic("Invoker: executing container vanished");
-            _pool.finishExecution(*done);
-            --_inFlight;
-            if (_admission != nullptr)
-                _admission->onExecFinish(inv.function);
+    _pool.finishExecution(*c);
+    const InvocationRecord record{
+        .function = row.inv.function, .arrival = row.inv.arrival,
+        .type = row.type, .queueWait = row.inv.queueWait,
+        .startupLatency = row.startupLatency, .execution = row.execution,
+        .endToEnd = _engine.now() - row.inv.arrival};
+    _metrics.record(record);
 
-            InvocationRecord record;
-            record.function = inv.function;
-            record.arrival = inv.arrival;
-            record.type = type;
-            record.queueWait = inv.queueWait;
-            record.startupLatency = startupLatency;
-            record.execution = execution;
-            record.endToEnd = _engine.now() - inv.arrival;
-            _metrics.record(record);
-            noteTicketTerminal(inv, TicketOutcome::kCompleted,
-                               sim::toSeconds(record.endToEnd),
-                               sim::toSeconds(execution));
+    if (_obs != nullptr) {
+        _obs->emit(_engine.now(), obs::EventType::InvocationCompleted, cid,
+                   record.function, static_cast<std::uint8_t>(row.type), 0,
+                   sim::toSeconds(record.startupLatency),
+                   sim::toSeconds(record.endToEnd));
+    }
+    // The execution interval is the trailing part of the event;
+    // whatever preceded it since the last stage (= bind time) is
+    // dispatch overhead.
+    emitStage(row.inv, _engine.now() - row.execution,
+              {obs::SpanStage::Dispatch, cid});
+    finish(row.inv, obs::SpanOutcome::Completed,
+           {obs::SpanStage::Exec, cid}, sim::toSeconds(row.execution));
 
-            if (_obs != nullptr) {
-                _obs->emit(_engine.now(),
-                           obs::EventType::InvocationCompleted, cid,
-                           inv.function,
-                           static_cast<std::uint8_t>(type), 0,
-                           sim::toSeconds(record.startupLatency),
-                           sim::toSeconds(record.endToEnd));
-                if (_obs->spansEnabled()) {
-                    // The execution interval is the trailing part of
-                    // the event; whatever preceded it since the last
-                    // stage (= bind time) is dispatch overhead.
-                    emitStageSpan(inv, obs::SpanStage::Dispatch,
-                                  _engine.now() - execution, cid);
-                    emitStageSpan(inv, obs::SpanStage::Exec,
-                                  _engine.now(), cid);
-                    closeRootSpan(inv, obs::SpanOutcome::Completed);
-                }
-            }
-
-            scheduleKeepAlive(*done);
-            drainQueue();
-        });
-    if (trackingEvents())
-        _execs[cid] = ExecTracking{inv, completion, bindTime};
+    scheduleKeepAlive(*c);
+    drainQueue();
 }
 
 void
@@ -668,15 +603,7 @@ Invoker::scheduleKeepAlive(Container& c)
                                      obs::Scope::PolicyKeepAlive);
         ttl = _policy.keepAliveTtl(c);
     }
-    if (_admission != nullptr && _admission->shrinkTtls() && ttl > 0) {
-        // Ladder stage 1: idle layers decay sooner so memory drains.
-        ttl = _admission->degradeTtl(ttl);
-        ++_degradedKeepalives;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::DegradedKeepalives,
-                                  _engine.now());
-        }
-    }
+    ttl = shrinkTtl(ttl);
     if (_obs != nullptr) {
         _obs->emit(_engine.now(), obs::EventType::KeepAliveSet, c.id(),
                    c.function(), static_cast<std::uint8_t>(c.layer()), 0,
@@ -750,20 +677,23 @@ Invoker::onIdleTimeout(container::ContainerId cid)
 
     if (decision.nextTtl < 0)
         return;
-    sim::Tick nextTtl = decision.nextTtl;
-    if (_admission != nullptr && _admission->shrinkTtls() &&
-        nextTtl > 0) {
-        nextTtl = _admission->degradeTtl(nextTtl);
-        ++_degradedKeepalives;
-        if (_obs != nullptr) {
-            _obs->counters().bump(obs::Counter::DegradedKeepalives,
-                                  _engine.now());
-        }
-    }
-    const container::ContainerId id = c->id();
     c->setTimeoutEvent(_engine.scheduleAfter(
-        nextTtl, [this, id] { onIdleTimeout(id); }));
+        shrinkTtl(decision.nextTtl), [this, cid] { onIdleTimeout(cid); }));
     drainQueue();
+}
+
+sim::Tick
+Invoker::shrinkTtl(sim::Tick ttl)
+{
+    if (_admission == nullptr || !_admission->shrinkTtls() || ttl <= 0)
+        return ttl;
+    // Ladder stage 1: idle layers decay sooner so memory drains.
+    ++_degradedKeepalives;
+    if (_obs != nullptr) {
+        _obs->counters().bump(obs::Counter::DegradedKeepalives,
+                              _engine.now());
+    }
+    return _admission->degradeTtl(ttl);
 }
 
 void
@@ -829,10 +759,8 @@ Invoker::firePrewarm(workload::FunctionId function)
     if (auxMb > 0.0)
         _pool.setAuxiliaryMemory(*c, auxMb);
 
-    const auto install = static_cast<sim::Tick>(
-        static_cast<double>(coldInitLatency(profile)) *
-        _policy.coldStartFactor());
-    scheduleInit(c->id(), install, true, true, true);
+    scheduleInit(c->id(), scratchInstall(_policy, profile, Layer::User), true,
+                 true, true);
 }
 
 void
@@ -867,17 +795,8 @@ Invoker::recoveryPrewarm(workload::FunctionId function, Layer layer)
         _obs->emit(_engine.now(), obs::EventType::PrewarmFired, c->id(),
                    function, static_cast<std::uint8_t>(layer), 1);
     }
-    const auto& costs = profile.costs();
-    sim::Tick install = costs.bareInit;
-    const bool lang = layer != Layer::Bare;
-    const bool user = layer == Layer::User;
-    if (lang)
-        install += costs.bareToLang + costs.langInit;
-    if (user)
-        install += costs.langToUser + costs.userInit;
-    install = static_cast<sim::Tick>(static_cast<double>(install) *
-                                     _policy.coldStartFactor());
-    scheduleInit(c->id(), install, true, lang, user);
+    scheduleInit(c->id(), scratchInstall(_policy, profile, layer), true,
+                 layer != Layer::Bare, layer == Layer::User);
 }
 
 void
@@ -934,122 +853,25 @@ void
 Invoker::scheduleInit(container::ContainerId cid, sim::Tick install,
                       bool bare, bool lang, bool user)
 {
-    if (!_degraded.empty()) {
-        // Gray window: installs crawl by the configured factor.
-        const double gray = degradedFactor(&DegradedSpan::initFactor);
-        if (gray > 1.0) {
-            install = static_cast<sim::Tick>(
-                static_cast<double>(install) * gray);
-        }
-    }
-    if (_fault == nullptr) {
-        const sim::EventId ev = _engine.scheduleAfter(
-            install, [this, cid] { onInitComplete(cid); });
-        if (_ticketing)
-            _initEvents[cid] = ev;
-        return;
-    }
+    InFlight& row = _inFlight[cid];
     // The injector samples only over the stages this install covers,
     // so cached layers (already proven good) cannot fail again.
-    const auto stage = _fault->sampleInitFault(bare, lang, user);
-    sim::EventId ev = sim::kNoEvent;
-    if (stage) {
-        const workload::Layer failed = *stage;
-        ev = _engine.scheduleAfter(
-            install, [this, cid, failed] { onInitFailed(cid, failed); });
-    } else {
-        ev = _engine.scheduleAfter(install,
-                                   [this, cid] { onInitComplete(cid); });
+    if (_fault != nullptr) {
+        if (const auto stage = _fault->sampleInitFault(bare, lang, user))
+            row.failedStage = *stage;
     }
-    _initEvents[cid] = ev;
+    row.event = _engine.scheduleAfter(
+        grayStretch(install, &DegradedSpan::initFactor),
+        [this, cid] { onInitEnd(cid); });
 }
 
 void
-Invoker::onInitFailed(container::ContainerId cid, workload::Layer stage)
-{
-    _initEvents.erase(cid);
-    Container* c = _pool.byId(cid);
-    if (!c || c->state() != State::Initializing)
-        sim::panic("Invoker::onInitFailed: container vanished mid-init");
-
-    if (_obs != nullptr) {
-        _obs->counters().bump(obs::Counter::FaultInjected, _engine.now());
-        _obs->emit(_engine.now(), obs::EventType::FaultInjected, cid,
-                   c->initFunction(), 0,
-                   static_cast<std::uint8_t>(stage));
-    }
-    RC_LOG(Debug, "init of container " << cid << " failed at stage "
-                  << static_cast<int>(stage));
-
-    Pending pending;
-    bool hasPending = false;
-    auto it = _attachments.find(cid);
-    if (it != _attachments.end()) {
-        pending = it->second.pending;
-        hasPending = true;
-        if (spansOn()) {
-            const auto spanStage =
-                it->second.type == StartupType::Load
-                    ? obs::SpanStage::InitWait
-                    : initStageForLayer(stage);
-            emitStageSpan(pending, spanStage, _engine.now(), cid,
-                          /*aborted=*/true,
-                          static_cast<std::uint8_t>(stage));
-        }
-        _attachments.erase(it);
-    }
-    _policy.onContainerFailed(*c);
-    _pool.kill(*c, obs::KillCause::InitFault);
-    if (hasPending)
-        scheduleRetry(pending);
-    drainQueue();
-}
-
-void
-Invoker::onExecFault(container::ContainerId cid, bool wedged)
-{
-    Container* c = _pool.byId(cid);
-    if (!c || c->state() != State::Busy)
-        sim::panic("Invoker::onExecFault: container not executing");
-    auto it = _execs.find(cid);
-    if (it == _execs.end())
-        sim::panic("Invoker::onExecFault: untracked execution");
-    const Pending pending = it->second.inv;
-    _execs.erase(it);
-    --_inFlight;
-    if (_admission != nullptr)
-        _admission->onExecFinish(pending.function);
-
-    if (_obs != nullptr) {
-        _obs->counters().bump(obs::Counter::FaultInjected, _engine.now());
-        _obs->emit(_engine.now(), obs::EventType::FaultInjected, cid,
-                   pending.function,
-                   static_cast<std::uint8_t>(wedged ? 2 : 1), 0);
-        if (wedged) {
-            _obs->emit(_engine.now(), obs::EventType::ExecTimeoutKill,
-                       cid, pending.function);
-        }
-    }
-    if (spansOn()) {
-        emitStageSpan(pending, obs::SpanStage::Exec, _engine.now(), cid,
-                      /*aborted=*/true, wedged ? 2 : 1);
-    }
-    _policy.onContainerFailed(*c);
-    _pool.forceKill(*c, wedged ? obs::KillCause::WedgeTimeout
-                               : obs::KillCause::ExecFault);
-    scheduleRetry(pending);
-    drainQueue();
-}
-
-void
-Invoker::scheduleRetry(Pending inv)
+Invoker::scheduleRetry(Invocation inv)
 {
     ++inv.attempt;
     if (inv.attempt > _fault->plan().maxRetries) {
         ++_failed;
-        noteTicketTerminal(inv, TicketOutcome::kFailed, 0.0, 0.0);
-        if (spansOn())
-            closeRootSpan(inv, obs::SpanOutcome::Failed);
+        finish(inv, obs::SpanOutcome::Failed);
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::RetryExhausted,
                                   _engine.now());
@@ -1071,28 +893,30 @@ Invoker::scheduleRetry(Pending inv)
                    inv.function, static_cast<std::uint8_t>(inv.attempt),
                    0, sim::toSeconds(backoff));
     }
-    _engine.scheduleAfter(backoff, [this, inv] {
-        // A retry landing during downtime simply queues: the restart
-        // drain picks it up. Never lost, never double-executed —
-        // unless the admission controller forbids queueing, in which
-        // case it is shed like any other overflow.
-        if (inv.ticket != 0 && _pendingCancels.count(inv.ticket) != 0) {
-            // A hedge cancel arrived while this attempt was waiting
-            // out its backoff: it dies here instead of re-dispatching.
-            ++_cancelled;
-            if (spansOn()) {
-                emitStageSpan(inv, obs::SpanStage::Backoff,
-                              _engine.now());
-                closeRootSpan(inv, obs::SpanOutcome::Cancelled);
-            }
-            noteTicketTerminal(inv, TicketOutcome::kCancelled, 0.0, 0.0);
-            return;
-        }
-        if (spansOn())
-            emitStageSpan(inv, obs::SpanStage::Backoff, _engine.now());
-        if (isDown() || !tryDispatch(inv))
-            queueOrShed(inv);
-    });
+    const std::uint64_t key = _nextBackoff++;
+    _backoffs.emplace(key, Backoff{inv});
+    _engine.scheduleAfter(backoff, [this, key] { onBackoffFired(key); });
+}
+
+void
+Invoker::onBackoffFired(std::uint64_t key)
+{
+    Backoff backoff = _backoffs.extract(key).mapped();
+    if (backoff.cancelled) {
+        // A hedge cancel arrived while this attempt was waiting out
+        // its backoff: it dies here instead of re-dispatching.
+        ++_cancelled;
+        finish(backoff.inv, obs::SpanOutcome::Cancelled,
+               {obs::SpanStage::Backoff});
+        return;
+    }
+    // A retry landing during downtime simply queues: the restart
+    // drain picks it up. Never lost, never double-executed — unless
+    // the admission controller forbids queueing, in which case it is
+    // shed like any other overflow.
+    emitStage(backoff.inv, _engine.now(), {obs::SpanStage::Backoff});
+    if (isDown() || !tryDispatch(backoff.inv))
+        queueOrShed(backoff.inv, /*fresh=*/false);
 }
 
 void
@@ -1125,53 +949,39 @@ Invoker::onNodeCrash()
     const sim::Tick downUntil =
         _engine.now() +
         sim::fromSeconds(_fault->plan().nodeDowntimeSeconds);
-    std::vector<Pending> lost = crashImpl(downUntil);
-    for (auto& inv : lost)
+    for (auto& inv : crashImpl(downUntil))
         scheduleRetry(inv);
     // The next crash can only strike after the node is back up.
     armNodeCrash(downUntil);
 }
 
-std::vector<Invoker::Pending>
+std::vector<Invoker::Invocation>
 Invoker::crashImpl(sim::Tick downUntil)
 {
     const sim::Tick now = _engine.now();
 
-    // Cancel every tracked init/exec completion first: once the pool
-    // dies, a stale completion would fire into a vanished container.
-    for (auto& [cid, ev] : _initEvents)
-        _engine.cancel(ev);
-    _initEvents.clear();
-
-    // Collect the invocations that lose their container, in container
-    // id order so the retry sequence is independent of hash layout.
-    struct Lost
-    {
-        container::ContainerId cid;
-        Pending inv;
-        obs::SpanStage stage;
-    };
-    std::vector<Lost> tagged;
-    for (auto& [cid, tracking] : _execs) {
-        _engine.cancel(tracking.event);
-        tagged.push_back(Lost{cid, tracking.inv, obs::SpanStage::Exec});
+    // Cancel every in-flight event first (once the pool dies, a stale
+    // one would fire into a vanished container) and collect the
+    // invocations that lose their container, in container id order so
+    // the retry sequence is independent of hash layout.
+    std::vector<std::pair<container::ContainerId, InFlight>> bound;
+    for (auto& [cid, row] : _inFlight) {
+        _engine.cancel(row.event);
+        if (row.bound)
+            bound.emplace_back(cid, row);
     }
-    _execs.clear();
-    for (auto& [cid, attachment] : _attachments) {
-        tagged.push_back(Lost{cid, attachment.pending,
-                              abortedInstallStage(attachment.type)});
+    _inFlight.clear();
+    std::sort(bound.begin(), bound.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<Invocation> lost;
+    for (auto& [cid, row] : bound) {
+        emitStage(row.inv, now,
+                  {row.executing ? obs::SpanStage::Exec
+                                 : abortedInstallStage(row.type),
+                   cid, /*aborted=*/true});
+        lost.push_back(row.inv);
     }
-    _attachments.clear();
-    std::sort(tagged.begin(), tagged.end(),
-              [](const Lost& a, const Lost& b) {
-                  return a.cid < b.cid;
-              });
-    if (spansOn()) {
-        for (const auto& lost : tagged)
-            emitStageSpan(lost.inv, lost.stage, now, lost.cid,
-                          /*aborted=*/true);
-    }
-    _inFlight = 0;
+    _executing = 0;
     if (_admission != nullptr)
         _admission->resetInFlight();
 
@@ -1187,9 +997,9 @@ Invoker::crashImpl(sim::Tick downUntil)
         _obs->counters().bump(obs::Counter::NodeCrashes, now);
         _obs->emit(now, obs::EventType::NodeCrashed, 0, 0, 0, 0,
                    sim::toSeconds(downUntil - now),
-                   static_cast<double>(tagged.size()));
+                   static_cast<double>(lost.size()));
     }
-    RC_LOG(Debug, "node crashed; " << tagged.size()
+    RC_LOG(Debug, "node crashed; " << lost.size()
                   << " invocations lost their container, down for "
                   << sim::toSeconds(downUntil - now) << " s");
 
@@ -1198,45 +1008,27 @@ Invoker::crashImpl(sim::Tick downUntil)
             _obs->emit(_engine.now(), obs::EventType::NodeRestarted, 0, 0);
         drainQueue();
     });
-
-    std::vector<Pending> lost;
-    lost.reserve(tagged.size());
-    for (auto& entry : tagged)
-        lost.push_back(entry.inv);
     return lost;
 }
 
 std::vector<FailoverTicket>
 Invoker::crashNow(sim::Tick downUntil)
 {
-    std::vector<Pending> lost = crashImpl(downUntil);
-    // Cluster failover also re-admits the queue: queued work would
-    // otherwise sit out the whole downtime on a dead node.
-    std::vector<FailoverTicket> tickets;
-    tickets.reserve(lost.size() + _queue.size());
-    for (const auto& inv : lost) {
-        if (inv.ticket != 0) {
-            // The watch ticket leaves with the work; the coordinator
-            // re-points it at whichever node the failover lands on.
-            _liveTickets.erase(inv.ticket);
-            _pendingCancels.erase(inv.ticket);
-        }
-        tickets.push_back(FailoverTicket{
-            inv.function, closeRootSpan(inv, obs::SpanOutcome::Rerouted),
-            inv.ticket});
-    }
-    for (const auto& inv : _queue) {
-        if (inv.ticket != 0) {
-            _liveTickets.erase(inv.ticket);
-            _pendingCancels.erase(inv.ticket);
-        }
-        if (spansOn())
-            emitStageSpan(inv, obs::SpanStage::Queue, _engine.now());
-        tickets.push_back(FailoverTicket{
-            inv.function, closeRootSpan(inv, obs::SpanOutcome::Rerouted),
-            inv.ticket});
-    }
+    // Cluster failover also re-admits the queue, after the invocations
+    // that lost their container: queued work would otherwise sit out
+    // the whole downtime on a dead node. The watch ticket leaves with
+    // the work; the coordinator re-points it at whichever node the
+    // failover lands on.
+    std::vector<Invocation> lost = crashImpl(downUntil);
+    lost.insert(lost.end(), _queue.begin(), _queue.end());
     _queue.clear();
+    std::vector<FailoverTicket> tickets;
+    tickets.reserve(lost.size());
+    for (auto& inv : lost) {
+        tickets.push_back(FailoverTicket{
+            inv.function, finish(inv, obs::SpanOutcome::Rerouted),
+            inv.ticket});
+    }
     _extracted += tickets.size();
     return tickets;
 }
@@ -1359,136 +1151,91 @@ Invoker::beginFinalize()
 // ---- cluster tail-tolerance (ticketed dispatch) --------------------------
 
 void
-Invoker::noteTicketTerminal(const Pending& inv, std::uint8_t kind,
-                            double latencySeconds, double execSeconds)
-{
-    if (inv.ticket == 0)
-        return;
-    _liveTickets.erase(inv.ticket);
-    _pendingCancels.erase(inv.ticket);
-    TicketOutcome out;
-    out.ticket = inv.ticket;
-    out.at = _engine.now();
-    out.kind = kind;
-    out.latencySeconds = latencySeconds;
-    out.execSeconds = execSeconds;
-    _ticketLog.push_back(out);
-}
-
-void
 Invoker::cancelTicket(std::uint64_t ticket)
 {
-    if (ticket == 0 || _liveTickets.count(ticket) == 0) {
-        // Already terminal (the race is benign: the coordinator sees
-        // the completed outcome and books the duplicate), or never
-        // admitted here. Either way there is nothing to unwind.
+    if (ticket == 0)
         return;
-    }
 
-    // 1. Still parked in the admission queue: pure bookkeeping.
+    // 1. Parked in the admission queue: pure bookkeeping.
     for (auto it = _queue.begin(); it != _queue.end(); ++it) {
         if (it->ticket != ticket)
             continue;
-        const Pending inv = *it;
+        Invocation inv = *it;
         _queue.erase(it);
         ++_cancelled;
-        if (spansOn()) {
-            emitStageSpan(inv, obs::SpanStage::Queue, _engine.now());
-            closeRootSpan(inv, obs::SpanOutcome::Cancelled);
-        }
-        noteTicketTerminal(inv, TicketOutcome::kCancelled, 0.0, 0.0);
+        finish(inv, obs::SpanOutcome::Cancelled);
         return;
     }
 
-    // 2. Attached to a claimed in-flight init. The match is unique
-    // (one live attempt per ticket), so map iteration order is
-    // immaterial to the result.
-    for (auto it = _attachments.begin(); it != _attachments.end(); ++it) {
-        if (it->second.pending.ticket != ticket)
+    // 2. Bound to an in-flight container. The match is unique (one
+    // live attempt per ticket), so hash iteration order is immaterial.
+    for (auto it = _inFlight.begin(); it != _inFlight.end(); ++it) {
+        InFlight& row = it->second;
+        if (!row.bound || row.inv.ticket != ticket)
             continue;
         const container::ContainerId cid = it->first;
-        const Attachment attachment = it->second;
-        _attachments.erase(it);
         Container* c = _pool.byId(cid);
-        if (c == nullptr || c->state() != State::Initializing)
-            sim::panic("Invoker::cancelTicket: attachment container "
-                       "vanished");
-        if (spansOn()) {
-            emitStageSpan(attachment.pending,
-                          abortedInstallStage(attachment.type),
-                          _engine.now(), cid, /*aborted=*/true);
-            closeRootSpan(attachment.pending, obs::SpanOutcome::Cancelled);
-        }
-        if (attachment.type == StartupType::Load) {
+        if (c == nullptr)
+            sim::panic("Invoker::cancelTicket: in-flight container vanished");
+        Invocation inv = row.inv;
+        const StageLabel last{row.executing ? obs::SpanStage::Exec
+                                            : abortedInstallStage(row.type),
+                              cid, /*aborted=*/true};
+        double wasted = 0.0;
+        if (!row.executing && row.type == StartupType::Load) {
             // The install belongs to a pre-warm this attempt merely
             // latched onto: release the claim and let it finish as an
-            // unclaimed pre-warm for the next arrival. Its (possibly
-            // untracked) init event stays armed on purpose.
+            // unclaimed pre-warm for the next arrival. Its row and its
+            // init event stay on purpose.
+            row.bound = false;
             _pool.unclaim(*c);
         } else {
-            // The install ran solely for this attempt: cancel its
-            // completion and kill the half-built container.
-            const auto ev = _initEvents.find(cid);
-            if (ev != _initEvents.end()) {
-                _engine.cancel(ev->second);
-                _initEvents.erase(ev);
+            // The install or the run served this attempt alone: cancel
+            // its event and kill the container, booking the machine
+            // time a run burnt so far as wasted work.
+            _engine.cancel(row.event);
+            if (row.executing) {
+                wasted = sim::toSeconds(_engine.now() - row.started);
+                --_executing;
+                if (_admission != nullptr)
+                    _admission->onExecFinish(inv.function);
             }
-            _pool.kill(*c, obs::KillCause::HedgeCancel);
+            _inFlight.erase(it);
+            _pool.forceKill(*c, obs::KillCause::HedgeCancel);
         }
         ++_cancelled;
-        noteTicketTerminal(attachment.pending, TicketOutcome::kCancelled,
-                           0.0, 0.0);
+        finish(inv, obs::SpanOutcome::Cancelled, last, wasted);
         drainQueue();
         return;
     }
 
-    // 3. Executing: cancel the completion, kill the container, and
-    // book the machine time burnt so far as wasted work.
-    for (auto it = _execs.begin(); it != _execs.end(); ++it) {
-        if (it->second.inv.ticket != ticket)
-            continue;
-        const container::ContainerId cid = it->first;
-        const ExecTracking tracking = it->second;
-        _execs.erase(it);
-        Container* c = _pool.byId(cid);
-        if (c == nullptr || c->state() != State::Busy)
-            sim::panic("Invoker::cancelTicket: tracked execution "
-                       "without a busy container");
-        _engine.cancel(tracking.event);
-        --_inFlight;
-        if (_admission != nullptr)
-            _admission->onExecFinish(tracking.inv.function);
-        const double wasted =
-            sim::toSeconds(_engine.now() - tracking.started);
-        if (spansOn()) {
-            emitStageSpan(tracking.inv, obs::SpanStage::Exec,
-                          _engine.now(), cid, /*aborted=*/true);
-            closeRootSpan(tracking.inv, obs::SpanOutcome::Cancelled);
+    // 3. Waiting out a retry backoff: it resolves when that fires.
+    for (auto& [key, backoff] : _backoffs) {
+        if (backoff.inv.ticket == ticket) {
+            backoff.cancelled = true;
+            return;
         }
-        ++_cancelled;
-        _pool.forceKill(*c, obs::KillCause::HedgeCancel);
-        noteTicketTerminal(tracking.inv, TicketOutcome::kCancelled, 0.0,
-                           wasted);
-        drainQueue();
-        return;
     }
-
-    // 4. Live but not bound anywhere: the attempt is waiting out a
-    // retry backoff. Flag it; the backoff body cancels it on firing.
-    _pendingCancels.insert(ticket);
+    // Not live here: already terminal (the race is benign — the
+    // coordinator sees the completed outcome and books the duplicate)
+    // or never admitted here. Either way there is nothing to unwind.
 }
 
-double
-Invoker::degradedFactor(double DegradedSpan::*factor)
+sim::Tick
+Invoker::grayStretch(sim::Tick t, double DegradedSpan::*factor)
 {
+    // Gray window: the node is slow, not down — runs and installs
+    // sampled inside one crawl by its factors.
     const sim::Tick now = _engine.now();
     while (_degradedCursor < _degraded.size() &&
            _degraded[_degradedCursor].end <= now)
         ++_degradedCursor;
-    if (_degradedCursor < _degraded.size() &&
-        _degraded[_degradedCursor].start <= now)
-        return _degraded[_degradedCursor].*factor;
-    return 1.0;
+    if (_degradedCursor == _degraded.size() ||
+        _degraded[_degradedCursor].start > now)
+        return t;
+    const double gray = _degraded[_degradedCursor].*factor;
+    return gray > 1.0 ? static_cast<sim::Tick>(static_cast<double>(t) * gray)
+                      : t;
 }
 
 void
@@ -1498,7 +1245,7 @@ Invoker::drainQueue()
         return;
     _draining = true;
     while (!_queue.empty()) {
-        Pending head = _queue.front();
+        Invocation head = _queue.front();
         head.queueWait = _engine.now() - head.arrival;
         if (!tryDispatch(head))
             break;

@@ -21,6 +21,23 @@
  *   6. none                                -> Cold (new container)
  * Cold starts that do not fit in memory first evict policy-ranked
  * idle victims and otherwise wait in a FIFO admission queue.
+ *
+ * Every live invocation has exactly one home on the node:
+ *   - the admission queue, while it waits for memory;
+ *   - the in-flight table, while the container bound to it initializes
+ *     or executes. The table holds every initializing or executing
+ *     container, keyed by container id, with the engine event that
+ *     ends its stage and the invocation bound to it, if any; unbound
+ *     pre-warm inits are rows too, because a crash must cancel their
+ *     events;
+ *   - the backoff table, while it waits out a retry backoff.
+ * A ticket is live exactly while its invocation sits in one of them,
+ * so a cancel, a crash or a completion walks one home. The invocation
+ * carries its own span cursor (span_cursor.hh), every terminal path
+ * ends in one finish step (last stage span, root span, ticket
+ * outcome), and every engine callback captures `this` and at most one
+ * key (a container id, a backoff key, a deadline tag, a function id),
+ * so each one fits the engine's inline callback buffer.
  */
 
 #ifndef RC_PLATFORM_INVOKER_HH_
@@ -28,7 +45,6 @@
 
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "admission/admission_controller.hh"
@@ -36,6 +52,7 @@
 #include "obs/observer.hh"
 #include "platform/metrics.hh"
 #include "platform/pool.hh"
+#include "platform/span_cursor.hh"
 #include "policy/policy.hh"
 #include "sim/engine.hh"
 #include "sim/rng.hh"
@@ -123,22 +140,15 @@ class Invoker : public policy::PlatformView
     // ---- cluster tail-tolerance (ticketed dispatch) --------------------
 
     /**
-     * Switch on ticket/exec-event tracking before the run starts.
-     * Called once by the sharded cluster when the fault plan's network
-     * dimension is active; without it the ticket paths below are dead
-     * code behind `ticket == 0` checks, so zero-knob network plans
-     * stay bit-identical to unplanned runs.
-     */
-    void enableTicketing() { _ticketing = true; }
-
-    /**
      * Deterministically cancel the live invocation carrying
-     * @p ticket: remove it from the admission queue, abandon its
-     * claimed init, or kill its executing container (KillCause::
-     * HedgeCancel), closing its root span with outcome Cancelled. An
-     * already-terminal ticket is a no-op (the coordinator counts the
-     * duplicate completion instead); a ticket waiting out a retry
-     * backoff is cancelled when the backoff fires.
+     * @p ticket, wherever its one home is: remove it from the
+     * admission queue; release the pre-warm it latched onto; kill the
+     * container installing or executing for it alone (KillCause::
+     * HedgeCancel); or, while it waits out a retry backoff, mark it so
+     * it resolves when that backoff fires. Its root span closes with
+     * outcome Cancelled. A ticket that is not live here (already
+     * terminal, or never admitted) is a no-op: the coordinator counts
+     * the duplicate completion instead.
      */
     void cancelTicket(std::uint64_t ticket);
 
@@ -169,7 +179,7 @@ class Invoker : public policy::PlatformView
     void retryQueued() { drainQueue(); }
 
     /** Invocations dispatched but not yet completed. */
-    std::size_t inFlightInvocations() const { return _inFlight; }
+    std::size_t inFlightInvocations() const { return _executing; }
 
     // ---- fault injection and recovery (rc::fault) ----------------------
 
@@ -221,18 +231,18 @@ class Invoker : public policy::PlatformView
     void armAdmission(sim::Tick horizon);
 
     /**
-     * Cluster-driven node crash: kill the whole pool, cancel every
-     * tracked init/exec event, and hand back the functions of all
-     * invocations that were queued, attached to an init, or executing
-     * — the cluster re-routes them to healthy nodes. The node stays
-     * down until @p downUntil.
+     * Cluster-driven node crash: kill the whole pool, cancel the event
+     * of every in-flight container, and hand back the invocations that
+     * were bound to one (in container id order), then the queue (in
+     * FIFO order) — the cluster re-routes them to healthy nodes. The
+     * node stays down until @p downUntil.
      */
     std::vector<FailoverTicket> crashNow(sim::Tick downUntil);
 
     /**
-     * Close the spans of invocations still queued when the run ends
-     * (outcome Stranded). Called once after the finalize drain; no-op
-     * unless span tracing is on.
+     * Finish the invocations still queued when the run ends (outcome
+     * Stranded: spans and ticket outcomes). Called once after the
+     * finalize drain; they stay counted as queued.
      */
     void closeStrandedSpans();
 
@@ -324,53 +334,79 @@ class Invoker : public policy::PlatformView
     }
 
   private:
-    /** An invocation waiting to be bound to a container. */
-    struct Pending
+    /** One live invocation: its dispatch state and its span cursor. */
+    struct Invocation
     {
         workload::FunctionId function = workload::kInvalidFunction;
         sim::Tick arrival = 0;
         sim::Tick queueWait = 0; //!< admission-queue wait before binding
         std::uint32_t attempt = 0; //!< fault retries consumed so far
         std::uint64_t seq = 0; //!< deadline-shedding tag; 0 = untagged
-        std::uint64_t id = 0; //!< span invocation id; 0 = spans off
         std::uint64_t ticket = 0; //!< cluster watch ticket; 0 = none
+        SpanCursor span;
     };
 
-    /** Bookkeeping for a claimed in-flight initialization. */
-    struct Attachment
+    /** An initializing or executing container: one in-flight row. */
+    struct InFlight
     {
-        Pending pending;
-        StartupType type = StartupType::Cold;
+        sim::EventId event = sim::kNoEvent; //!< ends the init / the run
+        bool bound = false;     //!< inv waits on (or runs in) it
+        bool executing = false; //!< past init: running inv
+        StartupType type = StartupType::Cold; //!< rung inv took
+        workload::Layer failedStage = workload::Layer::None; //!< drawn
+        fault::ExecFault fault = fault::ExecFault::None;     //!< drawn
+        sim::Tick started = 0; //!< bind time, for wasted-work accounting
+        sim::Tick startupLatency = 0;
+        sim::Tick execution = 0;
+        Invocation inv;
+    };
+
+    /** An invocation waiting out a retry backoff. */
+    struct Backoff
+    {
+        Invocation inv;
+        bool cancelled = false; //!< resolve as Cancelled when it fires
     };
 
     /** Try to bind @p inv to a container; false -> caller queues it. */
-    bool tryDispatch(const Pending& inv);
+    bool tryDispatch(Invocation& inv);
 
     /** Paths of the lookup ladder. */
-    void dispatchUserHit(const Pending& inv, container::Container& c,
-                         StartupType type, sim::Tick extraLatency);
-    bool tryDispatchPartial(const Pending& inv, container::Container& c,
+    bool tryDispatchPartial(Invocation& inv, container::Container& c,
                             StartupType type);
-    bool tryDispatchCold(const Pending& inv);
+    bool tryDispatchCold(Invocation& inv);
+
+    /**
+     * Bind @p inv to container @p cid through rung @p type: close its
+     * queue stage, trace the hit, and file it in the in-flight row.
+     */
+    InFlight& bind(Invocation& inv, container::ContainerId cid,
+                   StartupType type, obs::Counter counter);
 
     /** Execution start once a container is ready at the User layer. */
-    void startExecution(const Pending& inv, container::Container& c,
-                        StartupType type, sim::Tick dispatchOverhead);
+    void startExecution(InFlight& row, container::Container& c);
 
-    /** Init-completion event body. */
-    void onInitComplete(container::ContainerId cid);
-
-    /** Park @p inv in the admission queue (trace + counters). */
-    void enqueue(const Pending& inv);
+    /**
+     * Event bodies that end an in-flight stage: the install completes
+     * or fails as drawn, the run completes or faults (a crash, or the
+     * wedge watchdog firing). A fault kills the container and retries
+     * the bound invocation.
+     */
+    void onInitEnd(container::ContainerId cid);
+    void onExecEnd(container::ContainerId cid);
 
     /** Turn an arrival away at the door (rate limit / full queue). */
-    void rejectArrival(const Pending& inv, std::uint8_t reason);
+    void rejectArrival(Invocation& inv, std::uint8_t reason);
 
     /** Drop admitted work (cause 0 = deadline, 1 = pressure). */
-    void shedInvocation(const Pending& inv, std::uint8_t cause);
+    void shedInvocation(Invocation& inv, std::uint8_t cause);
 
-    /** Queue @p inv, or shed it when the controller forbids queueing. */
-    void queueOrShed(const Pending& inv);
+    /**
+     * Park @p inv in the admission queue, or drop it when the
+     * controller forbids queueing: a @p fresh arrival is rejected at a
+     * full queue, other work shed.
+     */
+    void queueOrShed(Invocation& inv, bool fresh);
 
     /** Deadline event body: shed the queued item tagged @p seq. */
     void onQueueDeadline(std::uint64_t seq);
@@ -382,31 +418,29 @@ class Invoker : public policy::PlatformView
     void onAdmissionTick();
 
     /**
-     * Schedule the init-completion event for @p cid after @p install,
-     * or — when an injector is installed and draws a stage failure
-     * over the stages this install covers — the init-failure event.
+     * File @p cid in the in-flight table and arm the event that ends
+     * its install after @p install; with an injector installed, draw
+     * whether it fails over the stages the install covers.
      */
     void scheduleInit(container::ContainerId cid, sim::Tick install,
                       bool bare, bool lang, bool user);
 
-    /** Injected init failure at @p stage: kill, then retry. */
-    void onInitFailed(container::ContainerId cid, workload::Layer stage);
-
-    /** Injected execution fault (crash, or wedge watchdog firing). */
-    void onExecFault(container::ContainerId cid, bool wedged);
-
     /** Retry @p inv after capped exponential backoff, or fail it. */
-    void scheduleRetry(Pending inv);
+    void scheduleRetry(Invocation inv);
+
+    /** Backoff event body: re-dispatch, or resolve a cancel. */
+    void onBackoffFired(std::uint64_t key);
 
     /** Node-crash event body (internally managed crashes). */
     void onNodeCrash();
 
     /**
-     * Shared crash mechanics: cancel tracked events, kill the pool,
-     * go down until @p downUntil, schedule the restart drain. Returns
-     * the invocations that lost their container or init.
+     * Shared crash mechanics: cancel every in-flight event, kill the
+     * pool, go down until @p downUntil, schedule the restart drain.
+     * Returns the invocations bound to in-flight containers, in
+     * container id order, with their aborted stage closed.
      */
-    std::vector<Pending> crashImpl(sim::Tick downUntil);
+    std::vector<Invocation> crashImpl(sim::Tick downUntil);
 
     /** Arm the next internally-managed node crash after @p from. */
     void armNodeCrash(sim::Tick from);
@@ -424,6 +458,9 @@ class Invoker : public policy::PlatformView
     void scheduleKeepAlive(container::Container& c);
     void onIdleTimeout(container::ContainerId cid);
 
+    /** @p ttl shrunk by the degradation ladder's first stage, if on. */
+    sim::Tick shrinkTtl(sim::Tick ttl);
+
     /** Pre-warm event body (Algorithm 1's async task). */
     void firePrewarm(workload::FunctionId function);
 
@@ -433,54 +470,18 @@ class Invoker : public policy::PlatformView
     /** Retry queued invocations after capacity may have freed. */
     void drainQueue();
 
-    /** Full init latency from scratch for @p f (incl. overheads). */
-    sim::Tick coldInitLatency(const workload::FunctionProfile& p) const;
-
-    /** Trace a successful ladder binding and bump its hit counter. */
-    void noteDispatch(const Pending& inv, container::ContainerId cid,
-                      StartupType type, obs::Counter counter);
-
-    // ---- span tracing (all dormant unless the observer enables it) -----
-
-    /** Fast gate for every span emission site. */
-    bool spansOn() const
-    {
-        return _obs != nullptr && _obs->spansEnabled();
-    }
-
-    /** Mint the next invocation id: (node << 40) | local sequence. */
-    std::uint64_t nextInvocationId()
-    {
-        return (static_cast<std::uint64_t>(_obs->spanNode()) << 40) |
-               _nextInvocationId++;
-    }
-
     /**
-     * Emit one stage span covering [lastEnd, @p end] of @p inv's
-     * timeline and advance the cursor. Zero-length stages are
-     * skipped (the next stage starts at the same tick, so the
-     * conservation tiling stays gapless).
+     * The one terminal step: close @p inv's @p last stage up to now
+     * (skipped when zero-length), emit its root span with @p outcome,
+     * and report its ticket outcome (none for Rerouted: the ticket
+     * leaves with the work). @p execSeconds is the run time, or the
+     * run a cancel wasted. Returns the root span id (0: spans off).
      */
-    void emitStageSpan(const Pending& inv, obs::SpanStage stage,
-                       sim::Tick end, std::uint64_t container = 0,
-                       bool aborted = false, std::uint8_t info = 0);
+    std::uint64_t finish(Invocation& inv, obs::SpanOutcome outcome,
+                         const StageLabel& last = {}, double execSeconds = 0.0);
 
-    /**
-     * Emit the per-layer init spans for a completed install: the
-     * elapsed [lastEnd, @p end] interval split across the layers the
-     * startup type actually built, proportionally to their catalog
-     * costs (deterministic integer arithmetic).
-     */
-    void emitInitSpans(const Pending& inv, StartupType type,
-                       std::uint64_t container, sim::Tick end);
-
-    /**
-     * Emit @p inv's root span [arrival, now] with @p outcome and
-     * forget its live state. Returns the root span id (0 when spans
-     * are off) so crashNow can hand it to the failover ticket.
-     */
-    std::uint64_t closeRootSpan(const Pending& inv,
-                                obs::SpanOutcome outcome);
+    /** Close @p inv's stage up to @p end and emit it (spans on). */
+    void emitStage(Invocation& inv, sim::Tick end, const StageLabel& label);
 
     /** Profiler of the attached observer, or nullptr. */
     obs::Profiler*
@@ -497,9 +498,14 @@ class Invoker : public policy::PlatformView
     sim::Rng& _rng;
     obs::Observer* _obs = nullptr;
 
-    std::deque<Pending> _queue;
-    std::unordered_map<container::ContainerId, Attachment> _attachments;
-    std::size_t _inFlight = 0;
+    // ---- the three homes of a live invocation (see file comment) -------
+
+    std::deque<Invocation> _queue;
+    std::unordered_map<container::ContainerId, InFlight> _inFlight;
+    std::unordered_map<std::uint64_t, Backoff> _backoffs;
+    std::uint64_t _nextBackoff = 0;
+
+    std::size_t _executing = 0;
     bool _draining = false;
 
     // Reusable scratch for the dispatch/eviction hot paths: cleared
@@ -511,27 +517,11 @@ class Invoker : public policy::PlatformView
 
     // ---- fault state (all dormant while _fault is nullptr) -------------
 
-    /** A tracked in-flight execution (cancellable on node crash). */
-    struct ExecTracking
-    {
-        Pending inv;
-        sim::EventId event = sim::kNoEvent;
-        sim::Tick started = 0; //!< for wasted-work accounting
-    };
-
-    /** True when init/exec events must be cancellable. */
-    bool trackingEvents() const
-    {
-        return _fault != nullptr || _ticketing;
-    }
-
     fault::FaultInjector* _fault = nullptr;
     sim::Tick _faultHorizon = 0;
     sim::Tick _downUntil = -1;
     sim::Tick _overloadUntil = -1;
     bool _finalizing = false;
-    std::unordered_map<container::ContainerId, sim::EventId> _initEvents;
-    std::unordered_map<container::ContainerId, ExecTracking> _execs;
     std::uint64_t _admitted = 0;
     std::uint64_t _extracted = 0;
     std::uint64_t _failed = 0;
@@ -539,20 +529,13 @@ class Invoker : public policy::PlatformView
     std::uint64_t _finalizeDrained = 0;
     std::uint64_t _recoveryPrewarmsIssued = 0;
 
-    // ---- cluster tail-tolerance state (dormant while !_ticketing) ------
+    // ---- cluster tail-tolerance state ----------------------------------
 
-    /** Record a terminal outcome for a ticketed invocation. */
-    void noteTicketTerminal(const Pending& inv, std::uint8_t kind,
-                            double latencySeconds, double execSeconds);
+    /** @p t stretched by @p factor (exec or init) of the gray window
+     *  covering now; unchanged outside every window. */
+    sim::Tick grayStretch(sim::Tick t, double DegradedSpan::*factor);
 
-    /** @p factor (exec or init stretch) of the gray window covering
-     *  now; 1 outside every window. */
-    double degradedFactor(double DegradedSpan::*factor);
-
-    bool _ticketing = false;
     std::vector<TicketOutcome> _ticketLog;
-    std::unordered_set<std::uint64_t> _liveTickets;
-    std::unordered_set<std::uint64_t> _pendingCancels;
     std::uint64_t _cancelled = 0;
     std::vector<DegradedSpan> _degraded;
     std::size_t _degradedCursor = 0;
@@ -568,17 +551,7 @@ class Invoker : public policy::PlatformView
     std::uint64_t _degradedKeepalives = 0;
     std::size_t _peakQueueDepth = 0;
 
-    // ---- span state (all dormant while spans are off) ------------------
-
-    /** Per-live-invocation span bookkeeping, keyed by Pending::id. */
-    struct LiveSpan
-    {
-        sim::Tick lastEnd = 0;      //!< end of the last emitted stage
-        std::uint64_t origin = 0;   //!< chained parent root span id
-        std::uint32_t nextSeq = 2;  //!< next span seq (root takes 1)
-    };
-
-    std::unordered_map<std::uint64_t, LiveSpan> _liveSpans;
+    /** Next local invocation sequence for span ids. */
     std::uint64_t _nextInvocationId = 1;
 };
 

@@ -114,10 +114,10 @@ class Node
 
     // ---- cluster tail-tolerance (ticketed dispatch) --------------------
 
-    /** Switch on ticket tracking; see Invoker::enableTicketing. */
-    void enableTicketing() { _invoker.enableTicketing(); }
-
-    /** Cancel the live invocation carrying @p ticket; see Invoker. */
+    /**
+     * Cancel the live invocation carrying @p ticket wherever it waits
+     * or runs on this node; see Invoker::cancelTicket.
+     */
     void cancelTicket(std::uint64_t ticket)
     {
         ++_externalOps;

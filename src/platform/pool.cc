@@ -111,8 +111,7 @@ ContainerPool::reindex(Container& c)
         break;
 
       case State::Initializing:
-        if (c.targetLayer() == Layer::User &&
-            _claimed.find(c.id()) == _claimed.end()) {
+        if (c.targetLayer() == Layer::User && !h.claimed) {
             h.bucket =
                 static_cast<std::uint8_t>(IndexBucket::UnclaimedInit);
             h.bucketKey = c.initFunction();
@@ -233,12 +232,8 @@ ContainerPool::idleCountAtLayer(
     Layer layer, std::optional<workload::Language> language) const
 {
     switch (layer) {
-      case Layer::User: {
-        std::size_t n = 0;
-        for (const auto& [function, list] : _idleUsers)
-            n += list.count;
-        return n;
-      }
+      case Layer::User:
+        return _idleUserAll.count;
       case Layer::Lang:
         if (language)
             return _idleLangs[workload::languageIndex(*language)].count;
@@ -289,8 +284,7 @@ ContainerPool::create(const workload::FunctionProfile& profile,
     Container* raw = c.get();
     _containers.emplace(raw->id(), std::move(c));
     _usedMb += raw->memoryMb();
-    if (claimed)
-        _claimed.insert(raw->id());
+    hooks(*raw).claimed = claimed;
     reindex(*raw);
     if (_obs != nullptr) {
         _obs->emit(_engine.now(), obs::EventType::ContainerCreated,
@@ -308,18 +302,13 @@ ContainerPool::claim(Container& c)
 {
     if (c.state() != State::Initializing)
         sim::panic("ContainerPool::claim: container not initializing");
-    if (!_claimed.insert(c.id()).second)
+    if (hooks(c).claimed)
         sim::panic("ContainerPool::claim: already claimed");
+    hooks(c).claimed = true;
     noteRecoveryUse(c);
     unindex(c); // leaves the unclaimed-init index, if it was in it
     reindex(c);
     noteMutation();
-}
-
-bool
-ContainerPool::isClaimed(const Container& c) const
-{
-    return _claimed.find(c.id()) != _claimed.end();
 }
 
 void
@@ -327,8 +316,9 @@ ContainerPool::unclaim(Container& c)
 {
     if (c.state() != State::Initializing)
         sim::panic("ContainerPool::unclaim: container not initializing");
-    if (_claimed.erase(c.id()) == 0)
+    if (!hooks(c).claimed)
         sim::panic("ContainerPool::unclaim: container not claimed");
+    hooks(c).claimed = false;
     unindex(c);
     reindex(c); // re-files into the unclaimed-init index
     noteMutation();
@@ -501,7 +491,7 @@ ContainerPool::finishInit(Container& c)
     const double before = c.memoryMb();
     unindex(c);
     c.finishInit(_engine.now());
-    _claimed.erase(c.id());
+    hooks(c).claimed = false;
     reindex(c);
     retrack(c, before);
     if (_obs != nullptr) {
@@ -623,7 +613,6 @@ ContainerPool::killImpl(Container& c, obs::KillCause cause, bool force)
     _usedMb -= before;
     if (_usedMb < 0.0)
         _usedMb = 0.0;
-    _claimed.erase(c.id());
     _containers.erase(c.id());
     noteMutation();
 }
@@ -734,8 +723,7 @@ ContainerPool::auditIndices() const
             }
             break;
           case State::Initializing:
-            if (c->targetLayer() == Layer::User &&
-                _claimed.find(id) == _claimed.end()) {
+            if (c->targetLayer() == Layer::User && !hooks(*c).claimed) {
                 expected = IndexBucket::UnclaimedInit;
                 expectedKey = c->initFunction();
                 ++unclaimedBrute[c->initFunction()];
@@ -756,6 +744,8 @@ ContainerPool::auditIndices() const
             fail("container " + std::to_string(id) +
                  " filed in the wrong index for its state");
         }
+        if (h.claimed && c->state() != State::Initializing)
+            fail("claimed container is not initializing");
     }
     if (idleBrute != _idleAll.count)
         fail("global idle list disagrees with brute-force idle count");
@@ -766,8 +756,9 @@ ContainerPool::auditIndices() const
         if (it == _idleUsers.end() || it->second.count != n)
             fail("idle-User bucket count disagrees with brute force");
     }
-    if (idleUserTotal != _idleUserAll.count)
-        fail("idle-User list disagrees with brute-force count");
+    if (idleUserTotal != _idleUserAll.count ||
+        idleUserTotal != idleCountAtLayer(Layer::User, std::nullopt))
+        fail("idle-User count disagrees with brute force");
     for (const auto& [function, list] : _idleUsers) {
         if (list.count != 0 &&
             idleUserBrute.find(function) == idleUserBrute.end())
@@ -797,14 +788,7 @@ ContainerPool::auditIndices() const
             fail("busy count disagrees with brute force");
     }
 
-    // 3. Claim set and memory accounting.
-    for (const auto id : _claimed) {
-        auto it = _containers.find(id);
-        if (it == _containers.end())
-            fail("claimed id without a container");
-        if (it->second->state() != State::Initializing)
-            fail("claimed container is not initializing");
-    }
+    // 3. Memory accounting.
     if (std::abs(usedBrute - _usedMb) > 1e-3)
         fail("memory accounting drifted from brute-force sum");
 }

@@ -34,8 +34,9 @@
  * proportional to the number of idle User containers — and every
  * candidate order deterministic by construction (insertion-ordered,
  * never hash-ordered), which the bit-identical seed goldens rely on.
- * The links live inside Container (PoolHooks), so index maintenance
- * is a handful of pointer writes and never allocates.
+ * The links, and the claim bit of an in-flight init, live inside
+ * Container (PoolHooks), so index maintenance is a handful of pointer
+ * writes and never allocates.
  *
  * auditIndices() cross-validates every index against a brute-force
  * scan of the container map; chaos_check enables it periodically via
@@ -49,7 +50,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -163,7 +163,8 @@ class ContainerPool
      * Number of idle containers at @p layer; for Layer::Lang,
      * restricted to @p language. The per-node per-language
      * availability summary the cluster scheduler and RainbowCake's
-     * shared-pool saturation check consult instead of scanning.
+     * shared-pool saturation check consult instead of scanning; O(1),
+     * the User count (zygotes included) read off the idle-User list.
      */
     std::size_t
     idleCountAtLayer(workload::Layer layer,
@@ -206,7 +207,10 @@ class ContainerPool
     void claim(container::Container& c);
 
     /** True if the in-flight container is claimed. */
-    bool isClaimed(const container::Container& c) const;
+    bool isClaimed(const container::Container& c) const
+    {
+        return hooks(c).claimed;
+    }
 
     /**
      * Release the claim on an in-flight container without killing it:
@@ -334,9 +338,9 @@ class ContainerPool
     /**
      * Cross-validate every index against a brute-force scan of the
      * container map: membership, tags, keys, ordering, busy counts,
-     * claim set, and memory accounting. Panics on the first
-     * inconsistency. chaos_check runs this periodically (see
-     * PoolConfig::auditEveryMutations); tests call it directly.
+     * claim bits, the idle-User count, and memory accounting. Panics
+     * on the first inconsistency. chaos_check runs this periodically
+     * (see PoolConfig::auditEveryMutations); tests call it directly.
      */
     void auditIndices() const;
 
@@ -457,7 +461,6 @@ class ContainerPool
     container::ContainerId _nextId = 1;
     std::unordered_map<container::ContainerId,
                        std::unique_ptr<container::Container>> _containers;
-    std::unordered_set<container::ContainerId> _claimed;
     stats::IntervalLog _waste;
 
     // ---- lookup indices (insertion-ordered; see file header) -----------

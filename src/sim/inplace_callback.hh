@@ -6,9 +6,11 @@
  * drags in RTTI + copy machinery the engine never uses. Event
  * callbacks are scheduled and destroyed millions of times per run, so
  * the engine stores them in an `InplaceCallback`: a 48-byte inline
- * buffer plus one vtable pointer. Callables that fit (every lambda in
- * this codebase) are constructed directly in the buffer; larger or
- * throwing-move callables fall back to a single heap allocation.
+ * buffer plus one vtable pointer, with the callable constructed
+ * directly in the buffer. There is no heap fallback: a callable that
+ * is larger than the buffer, over-aligned, or throwing on move is a
+ * compile error. Event callbacks capture `this` and at most one key
+ * and look their state up when they fire, so they all fit.
  */
 
 #ifndef RC_SIM_INPLACE_CALLBACK_HH_
@@ -36,14 +38,12 @@ class InplaceCallback
     InplaceCallback(F&& fn) // NOLINT: implicit like std::function
     {
         using D = std::remove_cvref_t<F>;
-        if constexpr (fitsInline<D>) {
-            ::new (storage()) D(std::forward<F>(fn));
-            _ops = &InlineVt<D>::ops;
-        } else {
-            ::new (storage()) D*(new D(std::forward<F>(fn)));
-            _ops = &HeapVt<D>::ops;
-        }
-        static_assert(fitsInline<D> || sizeof(D*) <= kInlineBytes);
+        static_assert(fitsInline<D>,
+                      "InplaceCallback: the callable must fit the inline "
+                      "buffer and move without throwing; capture a key "
+                      "and look the state up when the callback fires");
+        ::new (storage()) D(std::forward<F>(fn));
+        _ops = &InlineVt<D>::ops;
     }
 
     InplaceCallback(InplaceCallback&& other) noexcept { moveFrom(other); }
@@ -115,27 +115,6 @@ class InplaceCallback
         static void destroy(void* p) noexcept { self(p)->~D(); }
         static constexpr Ops ops{&invoke, &relocate, &destroy,
                                  triviallyRelocatable<D>};
-    };
-
-    template <typename D>
-    struct HeapVt
-    {
-        static D*
-        self(void* p)
-        {
-            return *std::launder(static_cast<D**>(p));
-        }
-        static void invoke(void* p) { (*self(p))(); }
-        static void
-        relocate(void* from, void* to) noexcept
-        {
-            ::new (to) D*(self(from));
-        }
-        static void destroy(void* p) noexcept { delete self(p); }
-        // The owning pointer itself relocates as a raw copy, but the
-        // destructor must still run, so the heap path is never
-        // trivial.
-        static constexpr Ops ops{&invoke, &relocate, &destroy, false};
     };
 
     void* storage() noexcept { return static_cast<void*>(_storage); }

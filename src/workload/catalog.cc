@@ -200,8 +200,8 @@ Catalog::syntheticFleet(std::size_t count, std::uint64_t seed)
                                   : rng.uniform(150.0, 900.0);
         const double userMb = langMb + rng.uniform(25.0, 300.0);
         const double execMs = rng.uniform(300.0, 8000.0);
-        const std::string name =
-            "S" + std::to_string(id) + "-" + toString(lang);
+        std::string name = "S";
+        name.append(std::to_string(id)).append("-").append(toString(lang));
         c.add(makeProfile(id, name, name, lang, domain, bareMs, langMs,
                           userMs, bareMb, langMb, userMb,
                           rng.uniform(4.0, 9.0), rng.uniform(5.0, 13.0),
@@ -223,8 +223,8 @@ Catalog::synthetic(std::size_t perLanguage)
     for (const Language lang : langs) {
         for (std::size_t i = 0; i < perLanguage; ++i) {
             const auto which = languageIndex(lang);
-            const std::string name =
-                "F" + std::to_string(id) + "-" + toString(lang);
+            std::string name = "F";
+            name.append(std::to_string(id)).append("-").append(toString(lang));
             c.add(makeProfile(id, name, name, lang, Domain::WebApp, 120,
                               langInitMs[which],
                               300 + 100 * static_cast<double>(i),

@@ -54,22 +54,15 @@ FunctionProfile::FunctionProfile(FunctionId id, std::string shortName,
 }
 
 sim::Tick
-FunctionProfile::startupLatencyFrom(Layer have) const
+FunctionProfile::installLatency(Layer from, Layer to) const
 {
-    sim::Tick latency = _costs.userToRun;
-    switch (have) {
-      case Layer::None:
+    sim::Tick latency = 0;
+    if (from < Layer::Bare && to >= Layer::Bare)
         latency += _costs.bareInit;
-        [[fallthrough]];
-      case Layer::Bare:
+    if (from < Layer::Lang && to >= Layer::Lang)
         latency += _costs.bareToLang + _costs.langInit;
-        [[fallthrough]];
-      case Layer::Lang:
+    if (from < Layer::User && to >= Layer::User)
         latency += _costs.langToUser + _costs.userInit;
-        [[fallthrough]];
-      case Layer::User:
-        break;
-    }
     return latency;
 }
 

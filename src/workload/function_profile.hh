@@ -65,12 +65,19 @@ class FunctionProfile
     double executionCv() const { return _executionCv; }
 
     /**
-     * Latency to bring a container from layer @p have to executing
-     * this function, including the remaining stage installs and the
-     * transition overheads crossed on the way (always including the
-     * final User-to-Run dispatch).
+     * Latency of installing the stages above @p from up to @p to and
+     * the transitions crossed on the way (0 unless @p to is above
+     * @p from), without the final User-to-Run dispatch: the invoker
+     * charges that at execution start, alike for every startup type.
      */
-    sim::Tick startupLatencyFrom(Layer have) const;
+    sim::Tick installLatency(Layer from, Layer to) const;
+
+    /** Latency from layer @p have to executing this function: the
+     *  install up to User plus the final User-to-Run dispatch. */
+    sim::Tick startupLatencyFrom(Layer have) const
+    {
+        return installLatency(have, Layer::User) + _costs.userToRun;
+    }
 
     /** Full cold-start latency (from Layer::None). */
     sim::Tick coldStartLatency() const { return startupLatencyFrom(Layer::None); }

@@ -435,23 +435,6 @@ TEST(Engine, InterleavedScheduleCancelMatchesReferenceModel)
     EXPECT_EQ(engine.pendingEvents(), 0u);
 }
 
-TEST(Engine, LargeCapturesFallBackToHeapStorage)
-{
-    // Captures larger than the inline buffer must still work (the
-    // callback type heap-allocates them transparently).
-    Engine engine;
-    std::array<std::uint64_t, 16> payload{};
-    for (std::size_t i = 0; i < payload.size(); ++i)
-        payload[i] = i + 1;
-    std::uint64_t sum = 0;
-    engine.schedule(1, [payload, &sum] {
-        for (const auto v : payload)
-            sum += v;
-    });
-    engine.run();
-    EXPECT_EQ(sum, 136u);
-}
-
 TEST(Time, ConversionRoundTrips)
 {
     EXPECT_EQ(fromSeconds(1.5), kSecond + 500 * kMillisecond);

@@ -439,9 +439,14 @@ TEST_F(PoolTest, PerLayerIdleCountsMatchScan)
     makeIdle("AC-Js", Layer::Bare);
     Container& busy = makeIdle("FC-Py");
     pool->beginExecution(busy);
+    // A demoted zygote re-files under the ownerless key and still
+    // counts as an idle User container.
+    Container& zygote = makeIdle("MD-Py");
+    pool->demoteToZygote(zygote);
+    ASSERT_EQ(zygote.function(), workload::kInvalidFunction);
 
-    EXPECT_EQ(pool->idleCount(), 5u);
-    EXPECT_EQ(pool->idleCountAtLayer(Layer::User, std::nullopt), 2u);
+    EXPECT_EQ(pool->idleCount(), 6u);
+    EXPECT_EQ(pool->idleCountAtLayer(Layer::User, std::nullopt), 3u);
     EXPECT_EQ(pool->idleCountAtLayer(Layer::Lang, std::nullopt), 2u);
     EXPECT_EQ(pool->idleCountAtLayer(Layer::Lang,
                                      workload::Language::Python), 1u);
