@@ -75,14 +75,13 @@ GrayNetwork::nextPartitionFlipAt(sim::Tick pitch) const
 
 void
 GrayNetwork::applyPartitions(sim::Tick windowStart, sim::Tick windowEnd,
-                             std::vector<NodeSummary>& summaries,
-                             ClusterResult& result)
+                             SummaryTable& table, ClusterResult& result)
 {
     for (; _lifted < _started && _partitions[_lifted].end <= windowStart;
          ++_lifted) {
         const fault::PartitionEvent& ev = _partitions[_lifted];
         for (const std::uint32_t n : ev.nodes)
-            summaries[n].severed = 0;
+            table.setHold(n, SummaryTable::kSevered, false);
         if (_obs != nullptr) {
             _obs->emit(ev.end, obs::EventType::PartitionEnd, 0, 0xffffffffU,
                        static_cast<std::uint8_t>(ev.nodes.size()));
@@ -93,7 +92,7 @@ GrayNetwork::applyPartitions(sim::Tick windowStart, sim::Tick windowEnd,
          ++_started) {
         const fault::PartitionEvent& ev = _partitions[_started];
         for (const std::uint32_t n : ev.nodes)
-            summaries[n].severed = 1;
+            table.setHold(n, SummaryTable::kSevered, true);
         ++result.partitions;
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::PartitionsStarted,

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "cluster/cluster.hh"
-#include "cluster/shard_scheduler.hh"
+#include "cluster/summary_table.hh"
 #include "fault/network_plan.hh"
 
 namespace rc::cluster {
@@ -67,10 +67,9 @@ class GrayNetwork
     sim::Tick nextPartitionFlipAt(sim::Tick pitch) const;
 
     /** Lift partitions ended by @p windowStart and start those due
-     *  before @p windowEnd, flagging severed nodes in @p summaries. */
+     *  before @p windowEnd, holding severed nodes in @p table. */
     void applyPartitions(sim::Tick windowStart, sim::Tick windowEnd,
-                         std::vector<NodeSummary>& summaries,
-                         ClusterResult& result);
+                         SummaryTable& table, ClusterResult& result);
 
     /** Emit NodeDegraded events for windows starting before @p end. */
     void emitDegradedEvents(sim::Tick end);

@@ -161,23 +161,6 @@ RecoveryOrchestrator::needsNodeProgress() const
 }
 
 void
-RecoveryOrchestrator::captureCensus(NodeRec& rec, std::size_t node,
-                                    const NodeSummary& summary,
-                                    const CensusSource& census) const
-{
-    if (census) {
-        rec.census = census(node);
-        return;
-    }
-    // No census source (summary-only callers, e.g. unit tests):
-    // degrade to the idle pools the summary already carries. The User
-    // working set is invisible here, so nothing is planned for it.
-    rec.census = LayerCensus{};
-    rec.census.bare = summary.idleBare;
-    rec.census.lang = summary.idleLang;
-}
-
-void
 RecoveryOrchestrator::beginDown(std::size_t node, sim::Tick at,
                                 sim::Tick downFor)
 {
@@ -297,8 +280,7 @@ RecoveryOrchestrator::complete(std::size_t node, sim::Tick at)
 
 int
 RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
-                                sim::Tick windowEnd,
-                                std::vector<NodeSummary>& summaries,
+                                sim::Tick windowEnd, SummaryTable& table,
                                 std::uint64_t offered,
                                 const CensusSource& census,
                                 std::vector<RecoveryAction>& actions)
@@ -306,8 +288,8 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
     // Goodput sample: attribute completions and offered load since
     // the last barrier to the bucket containing this barrier instant.
     std::uint64_t completed = 0;
-    for (const NodeSummary& s : summaries)
-        completed += s.successes;
+    for (std::size_t n = 0; n < _nodes; ++n)
+        completed += table[n].successes;
     const auto bucket = static_cast<std::size_t>(
         sim::toSeconds(windowStart) / kGoodputBucketSeconds);
     const auto sample = [bucket](std::vector<std::uint64_t>& buckets,
@@ -347,16 +329,13 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
     // Per-node FSM, ascending node order (determinism).
     for (std::size_t n = 0; n < _nodes; ++n) {
         NodeRec& rec = _recs[n];
-        if (rec.state == NodeState::Up) {
-            if (rec.next >= rec.queue.size())
-                continue;
+        if (rec.state == NodeState::Up && rec.next < rec.queue.size() &&
+            rec.queue[rec.next].beginAt < windowEnd) {
             const Episode& e = rec.queue[rec.next];
-            if (e.beginAt >= windowEnd)
-                continue;
             // The episode begins inside this window: snapshot the
             // pre-failure census now — node state is as of the last
             // barrier, before the crash or drain lands.
-            captureCensus(rec, n, summaries[n], census);
+            rec.census = census(n);
             if (e.planned) {
                 ++_upgradeEpisodes;
                 rec.state = NodeState::Draining;
@@ -384,7 +363,7 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
             const Episode& e = rec.queue[rec.next];
             if (windowStart < e.beginAt)
                 break; // drain starts mid-window; judge next barrier
-            const bool empty = summaries[n].inFlightPlusQueued == 0;
+            const bool empty = table[n].inFlightPlusQueued == 0;
             if (empty || windowStart >= rec.drainDeadline) {
                 if (empty)
                     ++_nodesDrained;
@@ -402,7 +381,7 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
                                    static_cast<std::uint32_t>(n),
                                    rec.downUntil, 0,
                                    workload::Layer::Bare});
-                summaries[n].down = 1;
+                table.markDown(n);
             }
             break;
         }
@@ -417,13 +396,15 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
             break;
         case NodeState::Warming:
             if (windowStart >= rec.warmupDeadline ||
-                censusMet(rec, summaries[n])) {
+                censusMet(rec, table[n])) {
                 complete(n, windowStart);
             }
             break;
         }
-        if (rec.state != NodeState::Up)
-            summaries[n].recovering = 1;
+        // Set or cleared at every barrier, so the hold reads this
+        // FSM's state whether or not the node reported since.
+        table.setHold(n, SummaryTable::kRecovering,
+                      rec.state != NodeState::Up);
     }
 
     // Token-gated readmission, (readyAt, node) order. Naive mode
@@ -447,14 +428,15 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
         if (_plan.stagedRejoin)
             _nextTokenAt = grantAt + _tokenInterval;
         grantRejoin(n, grantAt, actions);
-        summaries[n].recovering = _recs[n].state != NodeState::Up ? 1 : 0;
+        table.setHold(n, SummaryTable::kRecovering,
+                      _recs[n].state != NodeState::Up);
     }
 
     // Recovery backpressure: survivors tighten their belts while a
     // chunk of the fleet is out.
     std::size_t unavailable = 0;
-    for (const NodeSummary& s : summaries) {
-        if (s.down != 0 || s.recovering != 0)
+    for (std::size_t n = 0; n < _nodes; ++n) {
+        if (!table.available(n, SummaryTable::kRecovering))
             ++unavailable;
     }
     return floorFromFraction(static_cast<double>(unavailable) /

@@ -29,7 +29,7 @@
  *    Bare/Lang pools plus the per-function User working set, busy or
  *    idle — and re-issues those layers as recovery prewarms on
  *    rejoin, most specialized first. The scheduler keeps routing
- *    around the node (NodeSummary::recovering) until the census is
+ *    around the node (SummaryTable::kRecovering) until the census is
  *    rebuilt, so the first real request lands on a warm node.
  *  - *Recovery backpressure*: while a fraction of the fleet is
  *    unavailable the orchestrator raises an admission pressure floor
@@ -56,7 +56,7 @@
 #include <vector>
 
 #include "cluster/cluster.hh"
-#include "cluster/shard_scheduler.hh"
+#include "cluster/summary_table.hh"
 #include "fault/domain_plan.hh"
 #include "obs/observer.hh"
 #include "sim/time.hh"
@@ -141,20 +141,19 @@ class RecoveryOrchestrator
     /**
      * Run every node's FSM at a barrier. @p windowStart is the
      * barrier instant ([windowStart, windowEnd) is the upcoming
-     * window); @p summaries are the last-barrier node snapshots —
-     * the recovering/down flags are (re)applied here each barrier.
-     * @p offered is the cumulative offered load as of windowStart
-     * (fresh arrivals plus feedback retries) — the denominator of the
-     * goodput ratio. @p census reads a node's live layer census
-     * (called only in the window an episode begins; may be empty for
-     * tests, which degrades to a summary-only idle census).
-     * Crash/prewarm decisions are appended to @p actions. Returns the
-     * admission pressure floor the fleet should run at (0-2, from the
-     * unavailable fraction).
+     * window); @p table holds the last-barrier node summaries, and
+     * every node's kRecovering hold is set or cleared here from its
+     * FSM state; a node whose drain ends is marked down. @p offered
+     * is the cumulative offered load as of windowStart (fresh
+     * arrivals plus feedback retries) — the denominator of the
+     * goodput ratio. @p census reads a node's live layer census (in
+     * the window an episode begins). Crash/prewarm decisions are
+     * appended to @p actions. Returns the admission pressure floor
+     * the fleet should run at (0-2, from the unavailable fraction).
      */
     int onBarrier(sim::Tick windowStart, sim::Tick windowEnd,
-                  std::vector<NodeSummary>& summaries,
-                  std::uint64_t offered, const CensusSource& census,
+                  SummaryTable& table, std::uint64_t offered,
+                  const CensusSource& census,
                   std::vector<RecoveryAction>& actions);
 
     /**
@@ -214,9 +213,6 @@ class RecoveryOrchestrator
         bool emitted = false;
     };
 
-    void captureCensus(NodeRec& rec, std::size_t node,
-                       const NodeSummary& summary,
-                       const CensusSource& census) const;
     void beginDown(std::size_t node, sim::Tick at, sim::Tick downFor);
     /** Token grant: plan prewarms and enter Warming (or complete). */
     void grantRejoin(std::size_t node, sim::Tick grantAt,

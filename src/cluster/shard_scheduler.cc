@@ -14,66 +14,68 @@ ShardScheduler::ShardScheduler(Scheduling scheduling,
 }
 
 std::size_t
-ShardScheduler::leastLoaded(const std::vector<NodeSummary>& nodes) const
+ShardScheduler::leastLoaded(const SummaryTable& table,
+                            std::size_t avoid) const
 {
     // Two passes: prefer available nodes, but when the whole cluster
     // is down still place the work (it queues on the node and drains
     // at restart).
     for (const bool availableOnly : {true, false}) {
-        std::size_t best = nodes.size();
+        std::size_t best = table.size();
         std::uint32_t bestInFlight =
             std::numeric_limits<std::uint32_t>::max();
         double bestMemory = std::numeric_limits<double>::max();
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            if (availableOnly && unavailable(nodes[i]))
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            if (availableOnly && !routable(table, i, avoid))
                 continue;
-            if (nodes[i].inFlightPlusQueued < bestInFlight ||
-                (nodes[i].inFlightPlusQueued == bestInFlight &&
-                 nodes[i].usedMemoryMb < bestMemory)) {
+            if (table[i].inFlightPlusQueued < bestInFlight ||
+                (table[i].inFlightPlusQueued == bestInFlight &&
+                 table[i].usedMemoryMb < bestMemory)) {
                 best = i;
-                bestInFlight = nodes[i].inFlightPlusQueued;
-                bestMemory = nodes[i].usedMemoryMb;
+                bestInFlight = table[i].inFlightPlusQueued;
+                bestMemory = table[i].usedMemoryMb;
             }
         }
-        if (best != nodes.size())
+        if (best != table.size())
             return best;
     }
     return 0;
 }
 
 void
-ShardScheduler::place(NodeSummary& node, workload::FunctionId function,
+ShardScheduler::place(SummaryTable& table, workload::FunctionId function,
                       std::size_t index)
 {
-    ++node.inFlightPlusQueued;
+    table.place(index);
     if (function < _affinity.size())
         _affinity[function] = static_cast<std::uint32_t>(index) + 1;
 }
 
 std::size_t
-ShardScheduler::pick(std::vector<NodeSummary>& nodes,
-                     workload::FunctionId function)
+ShardScheduler::pick(SummaryTable& table, workload::FunctionId function,
+                     std::size_t avoid)
 {
-    if (nodes.empty())
+    const std::size_t n = table.size();
+    if (n == 0)
         sim::panic("ShardScheduler::pick: no nodes");
 
     switch (_scheduling) {
       case Scheduling::RoundRobin: {
-        for (std::size_t tried = 0; tried < nodes.size(); ++tried) {
-            const std::size_t i = _cursor++ % nodes.size();
-            if (!unavailable(nodes[i])) {
-                place(nodes[i], function, i);
+        for (std::size_t tried = 0; tried < n; ++tried) {
+            const std::size_t i = _cursor++ % n;
+            if (routable(table, i, avoid)) {
+                place(table, function, i);
                 return i;
             }
         }
-        const std::size_t i = _cursor++ % nodes.size();
-        place(nodes[i], function, i);
+        const std::size_t i = _cursor++ % n;
+        place(table, function, i);
         return i;
       }
 
       case Scheduling::LeastLoaded: {
-        const std::size_t i = leastLoaded(nodes);
-        place(nodes[i], function, i);
+        const std::size_t i = leastLoaded(table, avoid);
+        place(table, function, i);
         return i;
       }
 
@@ -88,9 +90,9 @@ ShardScheduler::pick(std::vector<NodeSummary>& nodes,
         //    never see traffic and the fleet cannot re-balance.
         if (function < _affinity.size() && _affinity[function] != 0) {
             const std::size_t i = _affinity[function] - 1;
-            if (i < nodes.size() && !unavailable(nodes[i]) &&
-                nodes[i].inFlightPlusQueued < kAffinitySpillDepth) {
-                place(nodes[i], function, i);
+            if (i < n && routable(table, i, avoid) &&
+                table[i].inFlightPlusQueued < kAffinitySpillDepth) {
+                place(table, function, i);
                 return i;
             }
         }
@@ -100,42 +102,28 @@ ShardScheduler::pick(std::vector<NodeSummary>& nodes,
         //    arrivals spreads over the actual idle capacity.
         const auto language = static_cast<std::size_t>(
             _catalog.at(function).language());
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            if (!unavailable(nodes[i]) &&
-                nodes[i].idleLang[language] > 0) {
-                --nodes[i].idleLang[language];
-                place(nodes[i], function, i);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (routable(table, i, avoid) &&
+                table[i].idleLang[language] > 0) {
+                table.takeIdleLang(i, language);
+                place(table, function, i);
                 return i;
             }
         }
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            if (!unavailable(nodes[i]) && nodes[i].idleBare > 0) {
-                --nodes[i].idleBare;
-                place(nodes[i], function, i);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (routable(table, i, avoid) && table[i].idleBare > 0) {
+                table.takeIdleBare(i);
+                place(table, function, i);
                 return i;
             }
         }
         // 3. Load: spread out.
-        const std::size_t i = leastLoaded(nodes);
-        place(nodes[i], function, i);
+        const std::size_t i = leastLoaded(table, avoid);
+        place(table, function, i);
         return i;
       }
     }
     return 0;
-}
-
-std::size_t
-ShardScheduler::pickAvoiding(std::vector<NodeSummary>& nodes,
-                             workload::FunctionId function,
-                             std::size_t avoid)
-{
-    if (avoid >= nodes.size())
-        return pick(nodes, function);
-    const std::uint8_t saved = nodes[avoid].down;
-    nodes[avoid].down = 1;
-    const std::size_t i = pick(nodes, function);
-    nodes[avoid].down = saved;
-    return i;
 }
 
 } // namespace rc::cluster

@@ -10,7 +10,7 @@
  * window stale — exactly the information a real inter-node scheduler
  * would have, since placement messages take a network hop anyway.
  *
- * Every rule here is a pure function of the summary array plus the
+ * Every rule here is a pure function of the summary table plus the
  * scheduler's own deterministic state (rotation cursor, affinity
  * map), so routing is bit-identical for any shard or thread count.
  * Locality is approximated by *affinity*: a function is routed back
@@ -24,53 +24,15 @@
 #ifndef RC_CLUSTER_SHARD_SCHEDULER_HH_
 #define RC_CLUSTER_SHARD_SCHEDULER_HH_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "cluster/cluster.hh"
+#include "cluster/summary_table.hh"
 #include "workload/catalog.hh"
 #include "workload/types.hh"
 
 namespace rc::cluster {
-
-/**
- * Barrier-time snapshot of one node, written by the owning shard at
- * the end of each window and read by the coordinator. POD on purpose:
- * shards fill disjoint slots of one flat vector, no locks needed.
- */
-struct NodeSummary
-{
-    /** Node is crashed (no new work). */
-    std::uint8_t down = 0;
-    /** Circuit breaker open (set by the coordinator, not the shard). */
-    std::uint8_t tripped = 0;
-    /** Latency-quarantined straggler (coordinator; primaries avoid). */
-    std::uint8_t quarantined = 0;
-    /** Inside a scheduled network partition (coordinator). */
-    std::uint8_t severed = 0;
-    /**
-     * Draining before a planned upgrade, waiting for a staged-rejoin
-     * token, or warming its census layers back up (coordinator). The
-     * scheduler routes around it until the recovery orchestrator
-     * clears the flag.
-     */
-    std::uint8_t recovering = 0;
-    /** In-flight plus queued invocations (load signal). */
-    std::uint32_t inFlightPlusQueued = 0;
-    /** Pool resident memory (tie-break for least-loaded). */
-    double usedMemoryMb = 0.0;
-    /** Idle Bare containers available for sharing. */
-    std::uint32_t idleBare = 0;
-    /** Idle Lang containers per language. */
-    std::array<std::uint32_t, workload::kLanguageCount> idleLang{};
-    /** Idle User containers, all functions (recovery census-met feed). */
-    std::uint32_t idleUser = 0;
-    /** Cumulative invoker failures (circuit-breaker feed). */
-    std::uint64_t failures = 0;
-    /** Cumulative completed invocations (circuit-breaker feed). */
-    std::uint64_t successes = 0;
-};
 
 /** Deterministic summary-based router for every Scheduling mode. */
 class ShardScheduler
@@ -90,39 +52,34 @@ class ShardScheduler
      */
     static constexpr std::uint32_t kAffinitySpillDepth = 16;
 
+    /** pick()'s @p avoid when every node may take the work. */
+    static constexpr std::size_t kNoAvoid = ~std::size_t{0};
+
     ShardScheduler(Scheduling scheduling, const workload::Catalog& catalog);
 
     /**
-     * Pick the node to serve @p function given barrier summaries
-     * @p nodes. Mutates the chosen summary (in-window placement
-     * model) and the affinity map. Deterministic.
+     * Pick the node to serve @p function given the barrier rows of
+     * @p table. Records the placement in the table's in-window model
+     * and in the affinity map. Deterministic. Node @p avoid counts as
+     * unavailable (a hedge must land off its primary) but stays in
+     * the all-unavailable fallbacks, so it may be returned when no
+     * other node is routable — the caller skips the hedge then.
      */
-    std::size_t pick(std::vector<NodeSummary>& nodes,
-                     workload::FunctionId function);
-
-    /**
-     * pick() with node @p avoid off the table (hedged dispatch must
-     * land on a different node than the primary). Implemented by
-     * temporarily marking @p avoid down, so every mode's avoidance
-     * logic applies unchanged. May still return @p avoid when it is
-     * the only candidate — the caller skips the hedge in that case.
-     */
-    std::size_t pickAvoiding(std::vector<NodeSummary>& nodes,
-                             workload::FunctionId function,
-                             std::size_t avoid);
+    std::size_t pick(SummaryTable& table, workload::FunctionId function,
+                     std::size_t avoid = kNoAvoid);
 
   private:
     static bool
-    unavailable(const NodeSummary& s)
+    routable(const SummaryTable& table, std::size_t i, std::size_t avoid)
     {
-        return s.down != 0 || s.tripped != 0 || s.quarantined != 0 ||
-               s.severed != 0 || s.recovering != 0;
+        return i != avoid && table.available(i, SummaryTable::kAllHolds);
     }
 
-    std::size_t leastLoaded(const std::vector<NodeSummary>& nodes) const;
+    std::size_t leastLoaded(const SummaryTable& table,
+                            std::size_t avoid) const;
 
     /** Record a placement in the in-window model. */
-    void place(NodeSummary& node, workload::FunctionId function,
+    void place(SummaryTable& table, workload::FunctionId function,
                std::size_t index);
 
     Scheduling _scheduling;

@@ -21,10 +21,11 @@ namespace {
 
 /**
  * Summaries are refreshed at least this often while input remains,
- * even across windows with no arrivals (rounded up to a whole number
- * of lookahead windows). Bounds routing staleness on sparse traces.
+ * even across windows with no arrivals (a whole number of barrier
+ * windows). Bounds routing staleness on sparse traces.
  */
 constexpr sim::Tick kMaxSummaryStaleness = sim::kSecond;
+static_assert(kMaxSummaryStaleness % ShardedCluster::kBarrierPitch == 0);
 
 } // namespace
 
@@ -43,7 +44,7 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
                                const PolicyFactory& factory,
                                ClusterConfig config, ShardedConfig sharded)
     : _catalog(catalog), _config(config), _sharded(sharded),
-      _scheduler(config.scheduling, catalog)
+      _scheduler(config.scheduling, catalog), _summaries(config.nodes)
 {
     if (config.nodes == 0)
         sim::fatal("ShardedCluster: need at least one node");
@@ -88,10 +89,6 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
                          admission::CircuitBreaker(breaker));
     }
 
-    _lookahead = _sharded.lookahead > 0
-                     ? _sharded.lookahead
-                     : core::CostModel(_sharded.cost).crossShardLookahead();
-
     // Round-robin node -> shard assignment balances load; the mapping
     // never influences results (see header), only wall-clock.
     const std::size_t shards =
@@ -102,7 +99,6 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
     _threads = std::min({_sharded.threads > 0 ? _sharded.threads : shards,
                          shards, usableCpus()});
 
-    _summaries.resize(_nodes.size());
     _summaryStamps.assign(_nodes.size(), 0);
     _seenFailures.assign(_nodes.size(), 0);
     _seenSuccesses.assign(_nodes.size(), 0);
@@ -123,27 +119,6 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
         _requests = std::make_unique<RequestTracker>(plan, _catalog.size(),
                                                      *_health, _obs);
     }
-}
-
-NodeSummary
-ShardedCluster::captureSummary(platform::Node& node) const
-{
-    NodeSummary s;
-    s.down = node.isDown() ? 1 : 0;
-    s.inFlightPlusQueued = static_cast<std::uint32_t>(
-        node.invoker().inFlightInvocations() +
-        node.invoker().queuedInvocations());
-    s.usedMemoryMb = node.pool().usedMemoryMb();
-    s.idleBare = static_cast<std::uint32_t>(node.pool().idleBareCount());
-    for (std::size_t l = 0; l < workload::kLanguageCount; ++l) {
-        s.idleLang[l] = static_cast<std::uint32_t>(
-            node.pool().idleLangCount(static_cast<workload::Language>(l)));
-    }
-    s.idleUser = static_cast<std::uint32_t>(
-        node.pool().idleCountAtLayer(workload::Layer::User, std::nullopt));
-    s.failures = node.invoker().failedInvocations();
-    s.successes = node.metrics().total();
-    return s;
 }
 
 void
@@ -194,16 +169,13 @@ ShardedCluster::visitNode(Shard& shard, std::size_t index,
             shard.crashLog.push_back(
                 {{input.tick, index, input.downUntil},
                  static_cast<std::uint32_t>(lost.size())});
-            // Displaced work re-enters at the next barrier, one
-            // failover hop after the crash. The hop is >= the
-            // lookahead by construction, so delivery never lands
-            // inside this window.
-            const sim::Tick failoverHop = std::max(
-                _lookahead, sim::fromMillis(_sharded.cost.failoverHopMillis));
+            // Displaced work re-enters one failover hop after the
+            // crash; the hop is at least the pitch, so delivery never
+            // lands inside this window.
             std::uint32_t i = 0;
             for (const auto& ticket : lost) {
                 shard.outbox.push_back(
-                    {std::max(windowEnd, input.tick + failoverHop),
+                    {input.tick + kFailoverHop,
                      input.tick, static_cast<std::uint32_t>(index), i++,
                      ticket.function, ticket.originSpan, ticket.ticket});
             }
@@ -223,10 +195,10 @@ ShardedCluster::visitNode(Shard& shard, std::size_t index,
     // barrier.
     node.advanceTo(windowEnd - 1);
     // Delta capture: publish the summary only when the node's change
-    // stamp moved since the last capture. An untouched node's summary
-    // is bitwise what the coordinator already holds, so skipping it
-    // cannot change results (the fullSummaryCapture identity test pins
-    // this).
+    // stamp moved since the last capture. An untouched node's report
+    // is what its row already holds, bar placements modelled for work
+    // that has not reached it (a send parked on the gray network;
+    // DESIGN.md §15).
     const std::uint64_t stamp = node.summaryStamp();
     if (stamp != _summaryStamps[index] || _sharded.fullSummaryCapture) {
         _summaryStamps[index] = stamp;
@@ -296,7 +268,7 @@ ShardedCluster::refreshBreakers(sim::Tick now)
         for (; _seenSuccesses[i] < _summaries[i].successes;
              ++_seenSuccesses[i])
             breaker.recordSuccess(now);
-        _summaries[i].tripped = breaker.allows(now) ? 0 : 1;
+        _summaries.setHold(i, SummaryTable::kTripped, !breaker.allows(now));
         const auto& transitions = breaker.transitions();
         for (; _seenTransitions[i] < transitions.size();
              ++_seenTransitions[i]) {
@@ -356,9 +328,9 @@ ShardedCluster::run(trace::ArrivalSource& source)
         const sim::Tick wake = nextWakeUp(run);
         if (wake == kNever)
             break;
-        run.windowStart = std::min(wake / _lookahead * _lookahead,
-                                   run.lastBarrier + run.maxStride);
-        run.windowEnd = run.windowStart + _lookahead;
+        run.windowStart = std::min(wake / kBarrierPitch * kBarrierPitch,
+                                   run.lastBarrier + kMaxSummaryStaleness);
+        run.windowEnd = run.windowStart + kBarrierPitch;
         ++run.result.windows;
 
         // ---- coordinator phase (single-threaded) --------------------
@@ -385,12 +357,16 @@ ShardedCluster::run(trace::ArrivalSource& source)
     }
 
     // Drain: no cross-shard input remains, so every node can run to
-    // completion and flush independently.
+    // completion and flush independently, each from the last barrier
+    // (an idle node's clock stopped at its last visit, and finalize()
+    // closes open idle intervals at the node's clock).
     const std::uint64_t tDrain = run.clock();
-    executor.runRound(_shards.size(), [this](std::size_t s) {
+    executor.runRound(_shards.size(), [this, &run](std::size_t s) {
         for (const std::size_t index : _shards[s].nodes) {
-            _nodes[index]->engine().run();
-            _nodes[index]->finalize();
+            platform::Node& node = *_nodes[index];
+            node.advanceTo(run.lastBarrier - 1);
+            node.engine().run();
+            node.finalize();
         }
     });
     run.result.parallelNs += run.clock() - tDrain;
@@ -450,13 +426,8 @@ ShardedCluster::arm(RunState& run)
             _nodes[i]->setDegradedWindows(std::move(perNode[i]));
     }
 
-    // Staleness cap, rounded up to whole windows so every barrier
-    // stays on the lookahead grid.
-    const sim::Tick L = _lookahead;
-    run.maxStride = std::max(L, alignToBarrier(kMaxSummaryStaleness, L));
-
     for (std::size_t i = 0; i < _nodes.size(); ++i) {
-        _summaries[i] = captureSummary(*_nodes[i]);
+        _summaries.report(i, captureSummary(*_nodes[i]));
         _summaryStamps[i] = _nodes[i]->summaryStamp();
     }
     for (Shard& shard : _shards) {
@@ -471,7 +442,6 @@ ShardedCluster::arm(RunState& run)
 sim::Tick
 ShardedCluster::nextWakeUp(const RunState& run) const
 {
-    const sim::Tick L = _lookahead;
     const std::array<sim::Tick, 4> due = inputsDue(run);
     sim::Tick next = *std::min_element(due.begin(), due.end());
     bool nodeProgress = false;
@@ -479,7 +449,7 @@ ShardedCluster::nextWakeUp(const RunState& run) const
         // Partition flips, retry feedback and outstanding ticket
         // watches (hedge deadlines, pending cancels) keep the barrier
         // grid stepping even with no routable input left.
-        next = std::min({next, _gray->nextPartitionFlipAt(L),
+        next = std::min({next, _gray->nextPartitionFlipAt(kBarrierPitch),
                          _requests->nextActionAt(run.lastBarrier)});
         // With a watch open, wake at the next instant the coordinator
         // can act on it: a queued cancel input (pushed at the last
@@ -496,7 +466,7 @@ ShardedCluster::nextWakeUp(const RunState& run) const
         // partition ends).
         const sim::Tick recoveryAt = _recovery->nextActionAt();
         if (recoveryAt != kNever)
-            next = std::min(next, alignToBarrier(recoveryAt, L));
+            next = std::min(next, alignToBarrier(recoveryAt, kBarrierPitch));
         // Draining and warming complete through node-local events
         // (executions finishing, prewarm inits); keep barriers
         // stepping with them so the FSM observes progress promptly.
@@ -529,7 +499,7 @@ ShardedCluster::preRoute(RunState& run)
         emitHealthTransitions();
     }
     // Recovery FSM runs before routing (hedges, retries, arrivals) so
-    // every dispatch this window sees the recovering flags; it runs
+    // every dispatch this window sees the recovery holds; it runs
     // before the crash drain so census snapshots still read
     // pre-failure summaries.
     if (_recovery != nullptr)
@@ -555,9 +525,9 @@ ShardedCluster::route(RunState& run)
         if (crashAt == due) {
             const CrashEvent& ev = run.crashes[run.crashIdx++];
             // Routing inside this window must already see the node as
-            // gone; the summary refresh at the barrier re-evaluates
-            // isDown() for the windows that follow.
-            _summaries[ev.node].down = 1;
+            // gone; its next report re-evaluates isDown() for the
+            // windows that follow.
+            _summaries.markDown(ev.node);
             queueInput(ev.node,
                        {ev.at, run.seq++, workload::kInvalidFunction,
                         ev.downUntil, ShardInput::kCrash});
@@ -620,9 +590,9 @@ ShardedCluster::routeArrival(RunState& run, const trace::Arrival& arrival)
         // on a readmission probe takes this arrival instead of the
         // normal pick.
         for (std::size_t i = 0; i < _nodes.size(); ++i) {
-            if (_health->wantsProbe(i) && _summaries[i].down == 0 &&
-                _summaries[i].tripped == 0 &&
-                _summaries[i].severed == 0) {
+            if (_health->wantsProbe(i) &&
+                _summaries.available(i, SummaryTable::kTripped |
+                                            SummaryTable::kSevered)) {
                 target = i;
                 probe = true;
                 break;
@@ -652,9 +622,9 @@ ShardedCluster::routeArrival(RunState& run, const trace::Arrival& arrival)
         // else is available; with a healthy alternative up this counts
         // as a violation (chaos_check --gray pins it at zero).
         for (std::size_t i = 0; i < _nodes.size(); ++i) {
-            if (_summaries[i].down == 0 && _summaries[i].tripped == 0 &&
-                _summaries[i].severed == 0 &&
-                _summaries[i].quarantined == 0) {
+            if (_summaries.available(i, SummaryTable::kTripped |
+                                            SummaryTable::kSevered |
+                                            SummaryTable::kQuarantined)) {
                 ++run.result.quarantineViolations;
                 break;
             }
@@ -688,22 +658,11 @@ ShardedCluster::binInputs(sim::Tick windowEnd)
 void
 ShardedCluster::mergeSummaries()
 {
-    // Patch the coordinator's table in place from the entries the
-    // workers flagged dirty, preserving the coordinator-owned flags
-    // (tripped, severed, quarantined) that nodes never track —
-    // refreshBreakers, applyPartitions, and emitHealthTransitions keep
-    // those current themselves.
+    // The entries the workers flagged dirty; a report keeps the
+    // coordinator's holds, which their owners keep current.
     for (Shard& shard : _shards) {
-        for (const auto& [index, fresh] : shard.summaryScratch) {
-            NodeSummary& slot = _summaries[index];
-            const std::uint8_t tripped = slot.tripped;
-            const std::uint8_t severed = slot.severed;
-            const std::uint8_t quarantined = slot.quarantined;
-            slot = fresh;
-            slot.tripped = tripped;
-            slot.severed = severed;
-            slot.quarantined = quarantined;
-        }
+        for (const auto& [index, fresh] : shard.summaryScratch)
+            _summaries.report(index, fresh);
         shard.summaryScratch.clear();
     }
 }
@@ -889,9 +848,9 @@ ShardedCluster::launchHedges(RunState& run)
     // sampler draw order is a pure function of coordinator state.
     const sim::Tick now = run.windowStart;
     for (const RequestTracker::DueHedge& due : _requests->dueHedges(now)) {
-        const std::size_t target = _scheduler.pickAvoiding(
-            _summaries, due.function, due.primaryNode);
-        // pickAvoiding falls back to the primary when nothing else is
+        const std::size_t target =
+            _scheduler.pick(_summaries, due.function, due.primaryNode);
+        // The pick falls back to the primary when nothing else is
         // reachable; hedging onto the same node (or a straggler) is
         // worse than waiting, so skip and re-try next barrier.
         if (target == due.primaryNode || _health->quarantined(target))
@@ -931,12 +890,10 @@ ShardedCluster::emitHealthTransitions()
 {
     for (const NodeHealthTracker::Transition& tr :
          _health->drainTransitions()) {
-        // The summary table tracks quarantine by transition delta:
-        // workers never see the flag, and the delta merge preserves
-        // it, so patching here (every state change logs a transition)
-        // replaces the old full-fleet re-sync each window.
-        _summaries[tr.node].quarantined =
-            tr.to != NodeHealthTracker::State::Healthy ? 1 : 0;
+        // The quarantine hold follows the transition log: every
+        // state change logs a transition, and a report keeps the hold.
+        _summaries.setHold(tr.node, SummaryTable::kQuarantined,
+                           tr.to != NodeHealthTracker::State::Healthy);
         if (_obs == nullptr)
             continue;
         using State = NodeHealthTracker::State;
@@ -1032,10 +989,10 @@ ShardedCluster::applyRecovery(sim::Tick windowStart, sim::Tick windowEnd,
         [this](std::size_t index) { return censusOf(index); }, actions);
     for (const RecoveryAction& action : actions) {
         if (action.kind == RecoveryAction::kCrashNode) {
-            // A drain end restarts the node through the ordinary
-            // crash path: warm state is torn down and anything still
-            // in flight (timeout kill) fails over like a crash.
-            _summaries[action.node].down = 1;
+            // A drain end restarts the node (onBarrier marked it down)
+            // through the ordinary crash path: warm state is torn down
+            // and anything still in flight (timeout kill) fails over
+            // like a crash.
             queueInput(action.node,
                        {action.at, seq++, workload::kInvalidFunction,
                         action.downUntil, ShardInput::kCrash});

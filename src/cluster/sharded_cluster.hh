@@ -6,15 +6,17 @@
  * The cluster partitions its nodes into shards (node i -> shard
  * i % shards), each stepping its nodes' engines on a worker thread,
  * and synchronizes them on a barrier grid whose pitch is the
- * *lookahead* L — the minimum cross-node hop latency from the cost
- * model. Because no effect can cross nodes faster than L, a shard may
- * run a whole window [W, W + L) without observing the others.
+ * *lookahead* L (ShardedCluster::kBarrierPitch). No effect crosses
+ * nodes inside a window — the coordinator delivers every cross-node
+ * input at a barrier or later — so a shard may run a whole window
+ * [W, W + L) without observing the others.
  *
  * All cross-shard interaction is mediated by the single-threaded
  * coordinator at barriers:
  *
  *  - arrivals in the window are routed against barrier-time node
- *    summaries (ShardScheduler) and appended to per-node inboxes;
+ *    summaries (ShardScheduler over the SummaryTable) and appended
+ *    to per-node inboxes;
  *  - pre-drawn node crashes are appended to the owning node's inbox;
  *  - work lost to a crash surfaces in the shard's outbox and is
  *    re-routed at the next barrier, delivered one failover hop after
@@ -62,7 +64,7 @@
 #include "cluster/recovery_orchestrator.hh"
 #include "cluster/request_tracker.hh"
 #include "cluster/shard_scheduler.hh"
-#include "core/cost_model.hh"
+#include "cluster/summary_table.hh"
 #include "trace/arrival_source.hh"
 
 namespace rc::cluster {
@@ -82,13 +84,6 @@ struct ShardedConfig
      */
     std::size_t threads = 0;
     /**
-     * Barrier-grid pitch in ticks; 0 derives the conservative
-     * lookahead from the cost model's cross-node hop latencies.
-     */
-    sim::Tick lookahead = 0;
-    /** Source of the hop latencies when lookahead is derived. */
-    core::CostConfig cost;
-    /**
      * Collect coordinator/parallel phase wall-clock timings into the
      * ClusterResult (and the coordinator_drain_ns / route_ns /
      * summary_capture_ns gauges when an observer is attached). Off by
@@ -98,12 +93,11 @@ struct ShardedConfig
      */
     bool phaseTimings = false;
     /**
-     * Test knob: capture every node's summary at every barrier the
-     * shard runs instead of only nodes whose summaryStamp changed.
-     * The delta-identity test pins full == delta byte-for-byte; it
-     * also forces every shard to run every window (the active-shard
-     * skip would otherwise starve the full capture). Never changes
-     * results by design — only wall clock.
+     * Test knob: visit and capture every node at every barrier, and
+     * run every shard every window, instead of only nodes whose
+     * summaryStamp moved. Without a network plan the results equal
+     * delta capture's byte for byte; DESIGN.md §15 says why a network
+     * plan may differ.
      */
     bool fullSummaryCapture = false;
 };
@@ -120,6 +114,14 @@ class ShardedCluster
 {
   public:
     using PolicyFactory = cluster::PolicyFactory;
+
+    /** Barrier-grid pitch, the lookahead L: every window, and so
+     *  every result, follows this grid. */
+    static constexpr sim::Tick kBarrierPitch = 5 * sim::kMillisecond;
+    /** Delay from a crash to the re-route of the work it displaced. */
+    static constexpr sim::Tick kFailoverHop = 50 * sim::kMillisecond;
+    static_assert(kFailoverHop >= kBarrierPitch,
+                  "displaced work must land past its crash's window");
 
     ShardedCluster(const workload::Catalog& catalog,
                    const PolicyFactory& factory, ClusterConfig config,
@@ -140,8 +142,8 @@ class ShardedCluster
      */
     ClusterResult run(trace::ArrivalSource& source);
 
-    /** Effective barrier-grid pitch in ticks. */
-    sim::Tick lookahead() const { return _lookahead; }
+    /** Barrier-grid pitch in ticks (kBarrierPitch). */
+    sim::Tick lookahead() const { return kBarrierPitch; }
 
     /** Effective shard count after clamping. */
     std::size_t shardCount() const { return _shards.size(); }
@@ -240,7 +242,7 @@ class ShardedCluster
         std::vector<RoutedInput> bin;
         /** (node, summary) pairs captured this window — only nodes
          *  whose summaryStamp moved (delta capture). The coordinator
-         *  merges them into _summaries after the round. */
+         *  reports them to _summaries after the round. */
         std::vector<std::pair<std::uint32_t, NodeSummary>> summaryScratch;
         /** Node wake ticks; entry k is nodes[k]. The coordinator
          *  skips the shard while the top stays at/past the barrier and
@@ -267,8 +269,6 @@ class ShardedCluster
         trace::ArrivalSource& source;
         ClusterResult result;
         sim::Tick horizon = 0;
-        /** Summary-staleness cap, rounded up to whole windows. */
-        sim::Tick maxStride = 0;
         /** Pre-drawn crashes in (at, node) order; crashIdx is next. */
         std::vector<CrashEvent> crashes;
         std::size_t crashIdx = 0;
@@ -322,7 +322,7 @@ class ShardedCluster
      *  the shards that must run a round before @p windowEnd. */
     void binInputs(sim::Tick windowEnd);
 
-    /** Patch the workers' summary deltas into _summaries. */
+    /** Report the workers' summary deltas to _summaries. */
     void mergeSummaries();
 
     /** Merge the round's crash logs and failover outboxes, then
@@ -336,7 +336,6 @@ class ShardedCluster
      *  run.result. */
     void assemble(RunState& run);
 
-    NodeSummary captureSummary(platform::Node& node) const;
     /** Step one shard to the barrier: visit every node with binned
      *  inputs or an event before @p windowEnd, and no other. */
     void runShardWindow(Shard& shard, sim::Tick windowEnd);
@@ -385,7 +384,7 @@ class ShardedCluster
     void settleOutcomes(RunState& run, sim::Tick barrier);
 
     /** Emit the quarantine FSM transitions the health tracker
-     *  logged, and mirror them into the summaries. */
+     *  logged, and mirror them into the quarantine holds. */
     void emitHealthTransitions();
 
     // ---- recovery orchestration (coordinator only) ----------------------
@@ -410,7 +409,6 @@ class ShardedCluster
     const workload::Catalog& _catalog;
     ClusterConfig _config;
     ShardedConfig _sharded;
-    sim::Tick _lookahead = 0;
     std::size_t _threads = 1;
     ShardScheduler _scheduler;
     std::vector<std::unique_ptr<platform::Node>> _nodes;
@@ -425,7 +423,7 @@ class ShardedCluster
     std::vector<std::unique_ptr<obs::Observer>> _nodeObservers;
 
     std::vector<Shard> _shards;
-    std::vector<NodeSummary> _summaries;
+    SummaryTable _summaries;
     /** Inputs queued since the last round, awaiting pre-binning. */
     std::vector<RoutedInput> _routeScratch;
     /** Shards selected for the current round (skip-idle subset). */

@@ -50,13 +50,4 @@ CostModel::unifiedCost(double startupSeconds, double wasteMbSeconds) const
            (1.0 - _config.alpha) * wasteMbSeconds;
 }
 
-sim::Tick
-CostModel::crossShardLookahead() const
-{
-    const double hopMillis =
-        std::min({_config.dispatchHopMillis, _config.failoverHopMillis,
-                  _config.networkHopMillis});
-    return std::max<sim::Tick>(1, sim::fromMillis(hopMillis));
-}
-
 } // namespace rc::core

@@ -45,21 +45,6 @@ struct CostConfig
      * baseline (§7.2 shapes).
      */
     double betaMemoryUnitMb = 160.0;
-
-    // ---- cross-node hop latencies (sharded execution) ----------------
-    //
-    // The minimum of these three is the conservative-synchronization
-    // lookahead of the sharded cluster core: no effect started on one
-    // node can reach another node sooner than the cheapest hop, so
-    // shards may safely run that far ahead of each other between
-    // barriers (see DESIGN.md §11).
-
-    /** Scheduler-to-node dispatch hop (placement delivery), ms. */
-    double dispatchHopMillis = 25.0;
-    /** Crash-detection-to-reroute hop (failover), ms. */
-    double failoverHopMillis = 50.0;
-    /** Generic node-to-node network hop, ms. */
-    double networkHopMillis = 5.0;
 };
 
 /** The Eq. 6 bound and Eq. 1 aggregation. */
@@ -99,14 +84,6 @@ class CostModel
      * total memory waste (MB*s).
      */
     double unifiedCost(double startupSeconds, double wasteMbSeconds) const;
-
-    /**
-     * Conservative lookahead for sharded execution: the minimum
-     * cross-node hop latency in ticks (at least one tick). Shards of
-     * a partitioned cluster may run this far past the last barrier
-     * without missing a cross-shard effect.
-     */
-    sim::Tick crossShardLookahead() const;
 
   private:
     CostConfig _config;

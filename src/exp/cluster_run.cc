@@ -24,7 +24,6 @@ runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
     cluster::ShardedConfig sharded;
     sharded.shards = config.shards;
     sharded.threads = config.threads;
-    sharded.cost = config.cost;
     sharded.phaseTimings = config.phaseTimings;
     cluster::ShardedCluster cluster(catalog, factory, clusterConfig,
                                     sharded);

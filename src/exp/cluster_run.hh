@@ -37,8 +37,6 @@ struct ClusterRunConfig
     std::size_t threads = 0;
     /** Per-node configuration. */
     platform::NodeConfig node;
-    /** Hop latencies the barrier lookahead is derived from. */
-    core::CostConfig cost;
     /**
      * Measure the coordinator-phase wall-clock breakdown (see
      * ClusterResult::coordinatorDrainNs). Off by default: the numbers

@@ -1,8 +1,8 @@
 /**
  * @file
  * Sharded parallel cluster core: determinism across shard and thread
- * counts, conservative-lookahead derivation, failover delivery
- * timing, and conservation of invocations under chaos.
+ * counts, the barrier pitch, failover delivery timing, and
+ * conservation of invocations under chaos.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "core/ablations.hh"
 #include "exp/cluster_run.hh"
 #include "exp/experiment.hh"
+#include "fault/domain_plan.hh"
 #include "obs/observer.hh"
 #include "platform/node.hh"
 #include "trace/arrival_source.hh"
@@ -87,30 +88,15 @@ runSharded(const std::vector<trace::Arrival>& arrivals,
 
 TEST(ShardedCluster, LookaheadIsTheMinimumCrossNodeHop)
 {
-    core::CostConfig cost; // defaults: dispatch 25, failover 50, net 5
-    EXPECT_EQ(core::CostModel(cost).crossShardLookahead(),
-              sim::fromMillis(5.0));
-    cost.networkHopMillis = 100.0;
-    EXPECT_EQ(core::CostModel(cost).crossShardLookahead(),
-              sim::fromMillis(25.0));
-
     const auto catalog = workload::Catalog::standard20();
     cluster::ClusterConfig clusterConfig;
     clusterConfig.nodes = 4;
     cluster::ShardedConfig sharded;
     sharded.shards = 2;
-    sharded.cost = cost;
     cluster::ShardedCluster cluster(
         catalog, [&catalog] { return core::makeRainbowCake(catalog); },
         clusterConfig, sharded);
-    EXPECT_EQ(cluster.lookahead(), sim::fromMillis(25.0));
-
-    // An explicit lookahead overrides the derivation.
-    sharded.lookahead = sim::fromMillis(2.0);
-    cluster::ShardedCluster pinned(
-        catalog, [&catalog] { return core::makeRainbowCake(catalog); },
-        clusterConfig, sharded);
-    EXPECT_EQ(pinned.lookahead(), sim::fromMillis(2.0));
+    EXPECT_EQ(cluster.lookahead(), sim::fromMillis(5.0));
 }
 
 TEST(ShardedCluster, ShardCountIsClampedToNodes)
@@ -151,22 +137,21 @@ TEST(ShardedCluster, AlignToBarrierRoundsUpToTheGrid)
 
 TEST(ShardedCluster, OffGridPartitionEndsStillWakeTheCluster)
 {
-    // Regression for the partition-end wakeup bug: with a coarse
-    // explicit lookahead, a partition whose end falls between
-    // barriers must still be lifted at the next barrier — the severed
-    // nodes rejoin and finish the run — rather than the end window
-    // being skipped and the nodes staying severed forever.
+    // Regression for the partition-end wakeup bug: a partition whose
+    // end falls between barriers must still be lifted at the next
+    // barrier — the severed nodes rejoin and finish the run — rather
+    // than the end window being skipped and the nodes staying severed
+    // forever.
     const auto catalog = workload::Catalog::standard20();
     cluster::ClusterConfig clusterConfig;
     clusterConfig.nodes = 8;
     clusterConfig.node.pool.memoryBudgetMb = 8192.0;
     fault::NetworkPlan& net = clusterConfig.node.fault.network;
     net.partitionRatePerHour = 12.0;
-    // Deliberately off the 250 ms barrier grid below.
-    net.partitionDurationSeconds = 17.3;
+    // Deliberately off the 5 ms barrier grid.
+    net.partitionDurationSeconds = 17.3021;
     cluster::ShardedConfig sharded;
     sharded.shards = 4;
-    sharded.lookahead = sim::fromMillis(250.0);
 
     cluster::ShardedCluster cluster(
         catalog, [&catalog] { return core::makeRainbowCake(catalog); },
@@ -447,30 +432,104 @@ TEST(ShardedCluster, StreamingRunIsByteIdenticalToMaterialized)
     }
 }
 
-TEST(ShardedCluster, DeltaSummaryCaptureMatchesFullCapture)
+/**
+ * Run @p arrivals at 1 and at 4 shards, each once with delta summary
+ * capture and once with a full re-walk every window (the old
+ * behaviour): the two must give the same bytes.
+ */
+void
+expectDeltaCaptureMatchesFull(const workload::Catalog& catalog,
+                              const cluster::PolicyFactory& factory,
+                              const cluster::ClusterConfig& clusterConfig,
+                              const std::vector<trace::Arrival>& arrivals,
+                              const std::string& label)
 {
-    // The dirty-bit delta capture must be invisible: forcing a full
-    // summary re-walk every window (the old behavior) yields the same
-    // bytes under chaos at any shard count.
-    const auto catalog = workload::Catalog::standard20();
-    const auto arrivals = standardArrivals();
     for (const std::size_t shards : {1u, 4u}) {
         std::string prints[2];
         for (int full = 0; full < 2; ++full) {
-            cluster::ClusterConfig clusterConfig;
-            clusterConfig.nodes = 12;
-            clusterConfig.node.pool.memoryBudgetMb = 8192.0;
-            clusterConfig.node.fault = chaosPlan();
             cluster::ShardedConfig sharded;
             sharded.shards = shards;
             sharded.fullSummaryCapture = full == 1;
-            cluster::ShardedCluster cluster(
-                catalog,
-                [&catalog] { return core::makeRainbowCake(catalog); },
-                clusterConfig, sharded);
+            cluster::ShardedCluster cluster(catalog, factory, clusterConfig,
+                                            sharded);
             prints[full] = fingerprint(cluster.run(arrivals));
         }
-        EXPECT_EQ(prints[0], prints[1]) << shards << " shards";
+        EXPECT_EQ(prints[0], prints[1]) << label << ", " << shards
+                                        << " shards";
+    }
+}
+
+TEST(ShardedCluster, DeltaSummaryCaptureMatchesFullCapture)
+{
+    // The dirty-bit delta capture must be invisible under chaos at
+    // any shard count.
+    const auto catalog = workload::Catalog::standard20();
+    cluster::ClusterConfig clusterConfig;
+    clusterConfig.nodes = 12;
+    clusterConfig.node.pool.memoryBudgetMb = 8192.0;
+    clusterConfig.node.fault = chaosPlan();
+    expectDeltaCaptureMatchesFull(
+        catalog, [&catalog] { return core::makeRainbowCake(catalog); },
+        clusterConfig, standardArrivals(), "rainbowcake");
+}
+
+TEST(ShardedCluster, DeltaCaptureMatchesFullCaptureForEveryPolicy)
+{
+    // The drain finalizes every node from the last barrier. A policy
+    // that never expires idle containers (FaaSCache) is charged idle
+    // waste up to that instant, and an idle node's own clock stopped
+    // at its last visit.
+    const auto catalog = workload::Catalog::standard20();
+    cluster::ClusterConfig clusterConfig;
+    clusterConfig.nodes = 12;
+    clusterConfig.node.pool.memoryBudgetMb = 8192.0;
+    clusterConfig.node.fault = chaosPlan();
+    const auto arrivals = standardArrivals();
+    for (const exp::NamedPolicy& policy : exp::standardBaselines(catalog)) {
+        expectDeltaCaptureMatchesFull(catalog, policy.make, clusterConfig,
+                                      arrivals, policy.label);
+    }
+}
+
+TEST(ShardedCluster, DeltaCaptureMatchesFullCaptureAfterAWarmupTimeout)
+{
+    // CI's domain plan with a warm-up short enough to end by timeout
+    // on nodes with nothing left to report: the recovery hold must
+    // follow the orchestrator's state, not the node's next report.
+    fault::DomainPlan plan;
+    std::string error;
+    ASSERT_TRUE(fault::parseDomainPlan(
+        R"({"domain_count": 2,
+            "outages": [{"start_seconds": 300, "duration_seconds": 120,
+                         "domain": 0}],
+            "upgrade_rate_per_hour": 2.0,
+            "upgrade_duration_seconds": 20,
+            "upgrade_stagger_seconds": 10,
+            "drain_timeout_seconds": 30,
+            "staged_rejoin": true, "rejoin_tokens_per_second": 0.5,
+            "prewarm_enabled": true, "prewarm_max_layers": 32,
+            "warmup_timeout_seconds": 2,
+            "retry_feedback_enabled": true,
+            "retry_backoff_seconds": 5, "retry_max_attempts": 3})",
+        plan, &error))
+        << error;
+    const auto catalog = workload::Catalog::standard20();
+    trace::WorkloadTraceConfig traceConfig;
+    traceConfig.minutes = 30;
+    traceConfig.targetInvocations = 30 * 600;
+    traceConfig.seed = 4242;
+    const auto arrivals = trace::expandArrivals(
+        trace::generateAzureLike(catalog, traceConfig));
+    cluster::ClusterConfig clusterConfig;
+    clusterConfig.nodes = 8;
+    clusterConfig.node.pool.memoryBudgetMb = 8192.0;
+    clusterConfig.node.fault.domain = plan;
+    for (const auto scheduling : {cluster::Scheduling::RoundRobin,
+                                  cluster::Scheduling::LeastLoaded}) {
+        clusterConfig.scheduling = scheduling;
+        expectDeltaCaptureMatchesFull(
+            catalog, [&catalog] { return core::makeRainbowCake(catalog); },
+            clusterConfig, arrivals, cluster::toString(scheduling));
     }
 }
 

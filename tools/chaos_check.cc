@@ -9,9 +9,11 @@
  * Each run draws a randomized FaultPlan (init failures, exec crashes,
  * wedges, node crashes, overload windows) and a randomized
  * AdmissionPlan (rate limits, bounded queue, deadline shedding,
- * breakers, pressure control), picks one of the six baselines,
- * replays a generated trace on a single node and on a small cluster
- * with failover (at --shards N shards and again at 1), and asserts:
+ * breakers, pressure control), picks one of the six baselines and one
+ * of the three routers, replays a generated trace on a single node
+ * and on a small cluster with failover (at --shards N shards, again
+ * at 1, and again at N capturing every node's summary every window),
+ * and asserts:
  *
  *  * conservation — every admitted invocation either completed,
  *    exhausted its retries, was rejected or shed by admission
@@ -25,8 +27,10 @@
  *    after crash-restart cycles;
  *  * determinism — an identical (seed, plan, policy) twin run
  *    reproduces the exact same outcome counts and latency totals, and
- *    the cluster's report fingerprint is bit-identical at N shards and
- *    at 1 shard.
+ *    the cluster's report fingerprint is bit-identical at N shards, at
+ *    1 shard and under full summary capture (the delta capture's
+ *    reference; not in --gray mode, where the two may differ by
+ *    design, DESIGN.md §15).
  *
  * --overload replays a 5x-denser trace against a quarter of the
  * memory (the CI chaos job's overload-heavy configuration), forcing
@@ -358,11 +362,13 @@ struct FleetTotals
 };
 
 /**
- * Replay the run on a @p nodes-node cluster at 1 shard and again at
- * @p shards. Each pass must quiesce, keep every breaker history on
- * the FSM, and pass the mode's own @p check; then the two passes'
- * report fingerprints must be byte-identical — the cluster's
- * shard-count contract.
+ * Replay the run on a @p nodes-node cluster routed by @p scheduling
+ * at 1 shard and again at @p shards, and with @p fullCapture a third
+ * time at @p shards capturing every summary every window. Each pass
+ * must quiesce, keep every breaker history on the FSM, and pass the
+ * mode's own @p check; then every pass's report fingerprint must be
+ * byte-identical — the cluster's shard-count contract, and delta
+ * summary capture's match with its full-capture reference.
  */
 template <typename Check>
 void
@@ -370,23 +376,27 @@ replayCluster(const workload::Catalog& catalog,
               const exp::NamedPolicy& policy,
               const std::vector<trace::Arrival>& arrivals,
               const platform::NodeConfig& config, std::size_t nodes,
-              std::size_t shards, const std::string& label,
+              std::size_t shards, cluster::Scheduling scheduling,
+              bool fullCapture, const std::string& label,
               const Check& check)
 {
     cluster::ClusterConfig clusterConfig;
     clusterConfig.nodes = nodes;
     clusterConfig.node = config;
+    clusterConfig.scheduling = scheduling;
 
-    std::string fingerprints[2];
-    const std::size_t counts[2] = {1, shards};
-    for (std::size_t pass = 0; pass < 2; ++pass) {
+    std::string fingerprints[3];
+    const std::size_t counts[3] = {1, shards, shards};
+    for (std::size_t pass = 0; pass < (fullCapture ? 3 : 2); ++pass) {
         cluster::ShardedConfig sharded;
         sharded.shards = counts[pass];
+        sharded.fullSummaryCapture = pass == 2;
         cluster::ShardedCluster cluster(catalog, policy.make,
                                         clusterConfig, sharded);
         const auto result = cluster.run(arrivals);
         const std::string passLabel =
-            label + " shards=" + std::to_string(counts[pass]);
+            label + " shards=" + std::to_string(counts[pass]) +
+            (pass == 2 ? " full-capture" : "");
 
         FleetTotals fleet;
         for (const auto& node : cluster.nodes()) {
@@ -411,6 +421,8 @@ replayCluster(const workload::Catalog& catalog,
     }
     expect(fingerprints[0] == fingerprints[1],
            label + ": report diverges from the 1-shard run");
+    expect(!fullCapture || fingerprints[2] == fingerprints[1],
+           label + ": delta summary capture diverges from full capture");
 }
 
 /**
@@ -424,12 +436,13 @@ runShardedClusterCheck(const workload::Catalog& catalog,
                        const exp::NamedPolicy& policy,
                        const std::vector<trace::Arrival>& arrivals,
                        const platform::NodeConfig& config,
-                       std::size_t shards, const std::string& label)
+                       std::size_t shards, cluster::Scheduling scheduling,
+                       const std::string& label)
 {
     // Enough nodes that the requested shard count survives clamping.
     replayCluster(
         catalog, policy, arrivals, config, std::max<std::size_t>(4, shards),
-        shards, label,
+        shards, scheduling, true, label,
         [&](const cluster::ClusterResult& result, const FleetTotals& fleet,
             const std::string& passLabel) {
             expect(fleet.extracted == result.reroutedInvocations,
@@ -462,10 +475,10 @@ runGrayClusterCheck(const workload::Catalog& catalog,
                     const exp::NamedPolicy& policy,
                     const std::vector<trace::Arrival>& arrivals,
                     const platform::NodeConfig& config,
-                    const std::string& label)
+                    cluster::Scheduling scheduling, const std::string& label)
 {
     replayCluster(
-        catalog, policy, arrivals, config, 8, 4, label,
+        catalog, policy, arrivals, config, 8, 4, scheduling, false, label,
         [&](const cluster::ClusterResult& result, const FleetTotals& fleet,
             const std::string& passLabel) {
             // Every dispatch — primary, failover re-issue, or hedge — is
@@ -519,11 +532,12 @@ runDomainClusterCheck(const workload::Catalog& catalog,
                       const exp::NamedPolicy& policy,
                       const std::vector<trace::Arrival>& arrivals,
                       const platform::NodeConfig& config,
-                      std::size_t shards, const std::string& label)
+                      std::size_t shards, cluster::Scheduling scheduling,
+                      const std::string& label)
 {
     replayCluster(
         catalog, policy, arrivals, config, 8,
-        std::max<std::size_t>(2, shards), label,
+        std::max<std::size_t>(2, shards), scheduling, true, label,
         [&](const cluster::ClusterResult& result, const FleetTotals& fleet,
             const std::string& passLabel) {
             // Every admission has exactly one source: an arrival, a
@@ -668,9 +682,17 @@ main(int argc, char** argv)
             config.fault.network = randomNetworkPlan(rng);
         if (domains)
             config.fault.domain = randomDomainPlan(rng);
+        // Drawn after every other draw, so a seed's plans, policy and
+        // trace do not depend on the router.
+        const cluster::Scheduling routers[] = {
+            cluster::Scheduling::RoundRobin, cluster::Scheduling::LeastLoaded,
+            cluster::Scheduling::LocalityAware};
+        const cluster::Scheduling scheduling =
+            routers[static_cast<std::size_t>(rng.uniform() * 3.0)];
 
         const std::string label = "seed " + std::to_string(runSeed) +
-                                  " policy " + policy.label;
+                                  " policy " + policy.label + " router " +
+                                  cluster::toString(scheduling);
         std::cout << "chaos_check: " << label << " ("
                   << arrivals.size() << " arrivals)\n";
 
@@ -678,7 +700,7 @@ main(int argc, char** argv)
             // Domain mode exercises the recovery orchestrator, which
             // lives in the cluster coordinator.
             runDomainClusterCheck(catalog, policy, arrivals, config,
-                                  shards, label + " domains");
+                                  shards, scheduling, label + " domains");
             continue;
         }
 
@@ -686,7 +708,7 @@ main(int argc, char** argv)
             // Gray mode exercises the network plan on the cluster
             // only — a lone node does not speak the ticket protocol.
             runGrayClusterCheck(catalog, policy, arrivals, config,
-                                label + " gray");
+                                scheduling, label + " gray");
             continue;
         }
 
@@ -704,7 +726,7 @@ main(int argc, char** argv)
                   << ", peak queue " << first.peakQueueDepth << "\n";
 
         runShardedClusterCheck(catalog, policy, arrivals, config, shards,
-                               label + " cluster");
+                               scheduling, label + " cluster");
     }
 
     if (gFailures == 0) {
