@@ -11,6 +11,7 @@
 #include "exp/parallel_runner.hh"
 #include "exp/report.hh"
 #include "exp/standard_traces.hh"
+#include "stats/percentile.hh"
 #include "stats/table.hh"
 #include "trace/replay.hh"
 #include "workload/catalog.hh"

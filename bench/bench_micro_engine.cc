@@ -22,10 +22,8 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <queue>
@@ -33,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench_record.hh"
 #include "exp/experiment.hh"
 #include "exp/parallel_runner.hh"
 #include "exp/standard_traces.hh"
@@ -45,6 +44,7 @@
 namespace {
 
 using namespace rc;
+using namespace rc::bench;
 
 /**
  * Faithful copy of the seed engine (PR 0): binary priority_queue of
@@ -112,34 +112,6 @@ class LegacyEngine
     std::unordered_map<std::uint64_t, Callback> _callbacks;
 };
 
-struct BenchRecord
-{
-    std::string bench;
-    std::string metric;
-    double value;
-    std::string unit;
-    std::size_t threads;
-};
-
-double
-secondsOf(const std::function<void()>& fn)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto start = Clock::now();
-    fn();
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/** Best-of-reps wall-clock: robust against scheduler noise. */
-double
-bestSeconds(int reps, const std::function<void()>& fn)
-{
-    double best = secondsOf(fn);
-    for (int i = 1; i < reps; ++i)
-        best = std::min(best, secondsOf(fn));
-    return best;
-}
-
 /**
  * schedule-then-drain pattern shared by new and legacy engines.
  * @p ticks controls same-tick multiplicity: ticks == batch gives
@@ -174,31 +146,6 @@ cancelHeavy(int batch)
     engine.run();
     if (engine.executedEvents() == 0)
         std::abort();
-}
-
-void
-writeJson(const std::string& path, const std::vector<BenchRecord>& records)
-{
-    std::ofstream out(path);
-    out << "[\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const auto& r = records[i];
-        out << "  {\"bench\": \"" << r.bench << "\", \"metric\": \""
-            << r.metric << "\", \"value\": " << r.value
-            << ", \"unit\": \"" << r.unit << "\", \"threads\": "
-            << r.threads << "}" << (i + 1 < records.size() ? "," : "")
-            << "\n";
-    }
-    out << "]\n";
-}
-
-void
-report(std::vector<BenchRecord>& records, const BenchRecord& record)
-{
-    records.push_back(record);
-    std::cout << record.bench << " :: " << record.metric << " = "
-              << record.value << " " << record.unit << " (threads="
-              << record.threads << ")\n";
 }
 
 } // namespace

@@ -34,11 +34,9 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -46,6 +44,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bench_record.hh"
 #include "container/container.hh"
 #include "platform/pool.hh"
 #include "sim/engine.hh"
@@ -55,6 +54,7 @@
 namespace {
 
 using namespace rc;
+using namespace rc::bench;
 using container::Container;
 using container::State;
 using workload::Layer;
@@ -229,59 +229,6 @@ struct Population
         return config;
     }
 };
-
-struct BenchRecord
-{
-    std::string bench;
-    std::string metric;
-    double value;
-    std::string unit;
-    std::size_t threads;
-};
-
-double
-secondsOf(const std::function<void()>& fn)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto start = Clock::now();
-    fn();
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/** Best-of-reps wall-clock: robust against scheduler noise. */
-double
-bestSeconds(int reps, const std::function<void()>& fn)
-{
-    double best = secondsOf(fn);
-    for (int i = 1; i < reps; ++i)
-        best = std::min(best, secondsOf(fn));
-    return best;
-}
-
-void
-writeJson(const std::string& path, const std::vector<BenchRecord>& records)
-{
-    std::ofstream out(path);
-    out << "[\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const auto& r = records[i];
-        out << "  {\"bench\": \"" << r.bench << "\", \"metric\": \""
-            << r.metric << "\", \"value\": " << r.value
-            << ", \"unit\": \"" << r.unit << "\", \"threads\": "
-            << r.threads << "}" << (i + 1 < records.size() ? "," : "")
-            << "\n";
-    }
-    out << "]\n";
-}
-
-void
-report(std::vector<BenchRecord>& records, const BenchRecord& record)
-{
-    records.push_back(record);
-    std::cout << record.bench << " :: " << record.metric << " = "
-              << record.value << " " << record.unit << " (threads="
-              << record.threads << ")\n";
-}
 
 /**
  * Foreign-user candidate walk (Pagurus sharing) and eviction-path

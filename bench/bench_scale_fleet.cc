@@ -41,17 +41,17 @@
 #include <cctype>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
-#include "cluster/sharded_cluster.hh"
+#include "bench_record.hh"
 #include "core/ablations.hh"
 #include "exp/cluster_run.hh"
 #include "exp/experiment.hh"
 #include "exp/parallel_runner.hh"
 #include "policy/openwhisk_fixed.hh"
+#include "sim/shard_executor.hh"
 #include "stats/table.hh"
 #include "trace/arrival_source.hh"
 #include "trace/generator.hh"
@@ -61,42 +61,8 @@
 namespace {
 
 using namespace rc;
+using namespace rc::bench;
 using Clock = std::chrono::steady_clock;
-
-struct BenchRecord
-{
-    std::string bench;
-    std::string metric;
-    double value;
-    std::string unit;
-    std::size_t threads;
-};
-
-void
-report(std::vector<BenchRecord>& records, const BenchRecord& record)
-{
-    records.push_back(record);
-    std::cout << record.bench << " :: " << record.metric << " = "
-              << record.value << " " << record.unit << " (threads="
-              << record.threads << ")\n";
-}
-
-void
-writeJson(const std::string& path,
-          const std::vector<BenchRecord>& records)
-{
-    std::ofstream out(path);
-    out << "[\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const auto& r = records[i];
-        out << "  {\"bench\": \"" << r.bench << "\", \"metric\": \""
-            << r.metric << "\", \"value\": " << r.value
-            << ", \"unit\": \"" << r.unit << "\", \"threads\": "
-            << r.threads << "}" << (i + 1 < records.size() ? "," : "")
-            << "\n";
-    }
-    out << "]\n";
-}
 
 /** The determinism/conservation fingerprint of one cluster run. */
 std::string
@@ -202,7 +168,7 @@ runClusterTier(bool quick, std::vector<BenchRecord>& records)
             std::chrono::duration<double>(Clock::now() - start)
                 .count();
         const std::size_t threads =
-            std::min(shards, cluster::usableCpus());
+            std::min(shards, sim::usableCpus());
 
         const std::string label =
             "fleet_cluster_" + std::to_string(shards) + "shard";
@@ -310,7 +276,7 @@ runMegaTier(bool quick, std::vector<BenchRecord>& records)
             std::chrono::duration<double>(Clock::now() - start)
                 .count();
         const std::size_t threads =
-            std::min(shards, cluster::usableCpus());
+            std::min(shards, sim::usableCpus());
 
         const std::string label =
             "mega_cluster_" + std::to_string(shards) + "shard";

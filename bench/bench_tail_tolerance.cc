@@ -34,11 +34,11 @@
  */
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_record.hh"
 #include "core/ablations.hh"
 #include "exp/cluster_run.hh"
 #include "fault/network_plan.hh"
@@ -50,41 +50,7 @@
 namespace {
 
 using namespace rc;
-
-struct BenchRecord
-{
-    std::string bench;
-    std::string metric;
-    double value;
-    std::string unit;
-    std::size_t threads;
-};
-
-void
-report(std::vector<BenchRecord>& records, const BenchRecord& record)
-{
-    records.push_back(record);
-    std::cout << record.bench << " :: " << record.metric << " = "
-              << record.value << " " << record.unit << " (threads="
-              << record.threads << ")\n";
-}
-
-void
-writeJson(const std::string& path,
-          const std::vector<BenchRecord>& records)
-{
-    std::ofstream out(path);
-    out << "[\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const auto& r = records[i];
-        out << "  {\"bench\": \"" << r.bench << "\", \"metric\": \""
-            << r.metric << "\", \"value\": " << r.value
-            << ", \"unit\": \"" << r.unit << "\", \"threads\": "
-            << r.threads << "}" << (i + 1 < records.size() ? "," : "")
-            << "\n";
-    }
-    out << "]\n";
-}
+using namespace rc::bench;
 
 /** Injection-only half of the plan, scaled by severity. */
 fault::NetworkPlan

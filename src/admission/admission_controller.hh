@@ -114,8 +114,7 @@ class AdmissionController
      * displaced load. 0 without an orchestrator, so admission-only
      * runs are untouched.
      */
-    void setRecoveryFloor(int level) { _recoveryFloor = level; }
-    int recoveryFloor() const { return _recoveryFloor; }
+    void setRecoveryFloor(int level) { _floor = level; }
 
     /**
      * Stage 1: shrink a keep-alive TTL by ttlShrinkFactor per ladder
@@ -134,7 +133,7 @@ class AdmissionController
     /** Measured ladder level, clamped from below by the recovery floor. */
     int effectiveLevel() const
     {
-        return _level > _recoveryFloor ? _level : _recoveryFloor;
+        return _level > _floor ? _level : _floor;
     }
 
     /** Lazy-refill token bucket. */
@@ -151,7 +150,7 @@ class AdmissionController
     double _smoothed = 0.0;
     double _lastRaw = 0.0;
     int _level = 0;
-    int _recoveryFloor = 0;
+    int _floor = 0; //!< recovery floor (setRecoveryFloor)
     std::uint64_t _shedsSinceUpdate = 0;
 };
 

@@ -78,24 +78,6 @@ CircuitBreaker::resetWindow()
     }
 }
 
-double
-CircuitBreaker::windowFailureFraction(sim::Tick now)
-{
-    expireOld(now);
-    std::uint64_t successes = 0;
-    std::uint64_t failures = 0;
-    for (const Bucket& bucket : _buckets) {
-        if (bucket.start < 0)
-            continue;
-        successes += bucket.successes;
-        failures += bucket.failures;
-    }
-    const std::uint64_t total = successes + failures;
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(failures) / static_cast<double>(total);
-}
-
 void
 CircuitBreaker::recordSuccess(sim::Tick now)
 {

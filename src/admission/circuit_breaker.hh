@@ -84,9 +84,6 @@ class CircuitBreaker
         return _transitions;
     }
 
-    /** Failure fraction over the current window (diagnostics). */
-    double windowFailureFraction(sim::Tick now);
-
   private:
     /** Bucketed window slot. */
     struct Bucket

@@ -63,8 +63,8 @@ NodeHealthTracker::recordLatency(std::size_t node, double seconds,
     if (_state[node] == State::Probation && _probeOutstanding[node]) {
         _probeOutstanding[node] = 0;
         const bool healthy =
-            _fleetMedian <= 0.0 ||
-            seconds < _plan.quarantineReadmitFactor * _fleetMedian;
+            _medianEwma <= 0.0 ||
+            seconds < _plan.quarantineReadmitFactor * _medianEwma;
         if (!healthy) {
             transition(node, State::Quarantined, at);
             return;
@@ -88,21 +88,21 @@ NodeHealthTracker::refresh(sim::Tick now)
             _medianScratch.push_back(_ewma[i]);
     }
     if (_medianScratch.size() < 2) {
-        _fleetMedian = 0.0;
+        _medianEwma = 0.0;
     } else {
         const std::size_t mid = _medianScratch.size() / 2;
         std::nth_element(_medianScratch.begin(),
                          _medianScratch.begin() + mid,
                          _medianScratch.end());
-        _fleetMedian = _medianScratch[mid];
+        _medianEwma = _medianScratch[mid];
     }
 
     for (std::size_t i = 0; i < _state.size(); ++i) {
         switch (_state[i]) {
           case State::Healthy:
-            if (_fleetMedian > 0.0 &&
+            if (_medianEwma > 0.0 &&
                 _samples[i] >= _plan.quarantineMinSamples &&
-                _ewma[i] > _plan.quarantineLatencyFactor * _fleetMedian) {
+                _ewma[i] > _plan.quarantineLatencyFactor * _medianEwma) {
                 transition(i, State::Quarantined, now);
             }
             break;

@@ -113,9 +113,6 @@ class NodeHealthTracker
         return std::move(_transitions);
     }
 
-    /** Fleet median EWMA over judged nodes (0 until min_samples). */
-    double fleetMedian() const { return _fleetMedian; }
-
     double ewma(std::size_t node) const { return _ewma[node]; }
 
     std::uint64_t quarantines() const { return _quarantines; }
@@ -136,7 +133,8 @@ class NodeHealthTracker
     /** Probe in flight (one at a time per probation node). */
     std::vector<std::uint8_t> _probeOutstanding;
     std::vector<double> _medianScratch;
-    double _fleetMedian = 0.0;
+    /** Fleet median EWMA over judged nodes (0 until min_samples). */
+    double _medianEwma = 0.0;
     std::uint64_t _quarantines = 0;
     std::uint64_t _probes = 0;
     std::uint64_t _readmits = 0;

@@ -5,12 +5,7 @@
 #include <chrono>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
-
-#ifdef __linux__
-#include <sched.h>
-#endif
 
 #include "sim/logging.hh"
 #include "sim/shard_executor.hh"
@@ -28,17 +23,6 @@ constexpr sim::Tick kMaxSummaryStaleness = sim::kSecond;
 static_assert(kMaxSummaryStaleness % ShardedCluster::kBarrierPitch == 0);
 
 } // namespace
-
-std::size_t
-usableCpus()
-{
-#ifdef __linux__
-    cpu_set_t mask;
-    if (sched_getaffinity(0, sizeof(mask), &mask) == 0)
-        return static_cast<std::size_t>(std::max(1, CPU_COUNT(&mask)));
-#endif
-    return std::max(1u, std::thread::hardware_concurrency());
-}
 
 ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
                                const PolicyFactory& factory,
@@ -97,7 +81,7 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
     for (std::size_t i = 0; i < _nodes.size(); ++i)
         _shards[i % shards].nodes.push_back(i);
     _threads = std::min({_sharded.threads > 0 ? _sharded.threads : shards,
-                         shards, usableCpus()});
+                         shards, sim::usableCpus()});
 
     _summaryStamps.assign(_nodes.size(), 0);
     _seenFailures.assign(_nodes.size(), 0);
@@ -727,16 +711,14 @@ void
 ShardedCluster::assemble(RunState& run)
 {
     ClusterResult& result = run.result;
-    // Fleet latency sketch: one QuantileSketch per node, merged in
-    // node-index order. The bucket-wise merge is commutative and
-    // associative, so the result is shard-count independent.
+    // Fleet latency sketch: every node's records in node-index order.
+    // Bucket counts do not depend on insertion order, so the result
+    // is shard-count independent.
     stats::QuantileSketch e2eSketch;
     for (const auto& node : _nodes) {
         const auto& metrics = node->metrics();
-        stats::QuantileSketch nodeSketch;
         for (const auto& record : metrics.records())
-            nodeSketch.add(sim::toSeconds(record.endToEnd));
-        e2eSketch.merge(nodeSketch);
+            e2eSketch.add(sim::toSeconds(record.endToEnd));
         result.invocations += metrics.total();
         result.coldStarts += metrics.countOf(platform::StartupType::Cold);
         result.totalStartupSeconds += metrics.totalStartupSeconds();
@@ -1004,8 +986,8 @@ ShardedCluster::applyRecovery(sim::Tick windowStart, sim::Tick windowEnd,
                         ShardInput::kPrewarm});
         }
     }
-    if (floor != _recoveryFloor) {
-        _recoveryFloor = floor;
+    if (floor != _pressureFloor) {
+        _pressureFloor = floor;
         for (auto& node : _nodes)
             node->setRecoveryPressureFloor(floor);
     }

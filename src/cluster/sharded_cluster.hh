@@ -102,13 +102,6 @@ struct ShardedConfig
     bool fullSummaryCapture = false;
 };
 
-/**
- * CPUs the calling thread may run on: its affinity mask where the OS
- * has one (taskset and cpusets narrow it), else the hardware count;
- * at least 1. ShardedCluster clamps its crew to this.
- */
-std::size_t usableCpus();
-
 /** A fleet of worker nodes stepped by shards between barriers. */
 class ShardedCluster
 {
@@ -452,7 +445,7 @@ class ShardedCluster
     /** Non-null only when the domain plan is active. */
     std::unique_ptr<RecoveryOrchestrator> _recovery;
     /** Admission pressure floor currently applied to the fleet. */
-    int _recoveryFloor = 0;
+    int _pressureFloor = 0;
     /** Requests dispatched so far (fresh arrivals + feedback retries;
      *  failovers and hedges re-issue a counted request). The recovery
      *  orchestrator's goodput-ratio denominator. */

@@ -190,9 +190,6 @@ class Container
      */
     std::vector<stats::IdleInterval> drainIdleIntervals(bool eventuallyHit);
 
-    /** True if an idle interval is currently open. */
-    bool idleIntervalOpen() const { return _idleOpen; }
-
     /**
      * Provenance tag for recovery warm-ups: containers created from a
      * rejoining node's pre-failure layer census carry this flag until

@@ -6,10 +6,8 @@ namespace rc::core {
 
 CheckpointPolicy::CheckpointPolicy(std::unique_ptr<policy::Policy> base,
                                    CheckpointConfig config)
-    : _base(std::move(base)), _config(config)
+    : PolicyDecorator(std::move(base)), _config(config)
 {
-    if (!_base)
-        sim::fatal("CheckpointPolicy: base policy must not be null");
     if (config.restoreFactor <= 0.0 || config.restoreFactor > 1.0)
         sim::fatal("CheckpointPolicy: restore factor outside (0,1]");
     if (config.imageMemoryFraction < 0.0)
@@ -19,77 +17,7 @@ CheckpointPolicy::CheckpointPolicy(std::unique_ptr<policy::Policy> base,
 std::string
 CheckpointPolicy::name() const
 {
-    return _base->name() + " + checkpoint";
-}
-
-void
-CheckpointPolicy::attach(policy::PlatformView& view)
-{
-    Policy::attach(view);
-    _base->attach(view);
-}
-
-void
-CheckpointPolicy::onArrival(workload::FunctionId function)
-{
-    _base->onArrival(function);
-}
-
-void
-CheckpointPolicy::onStartupResolved(const policy::StartupObservation& obs)
-{
-    _base->onStartupResolved(obs);
-}
-
-sim::Tick
-CheckpointPolicy::keepAliveTtl(const container::Container& c)
-{
-    return _base->keepAliveTtl(c);
-}
-
-policy::IdleDecision
-CheckpointPolicy::onIdleExpired(const container::Container& c)
-{
-    return _base->onIdleExpired(c);
-}
-
-bool
-CheckpointPolicy::layerSharingEnabled() const
-{
-    return _base->layerSharingEnabled();
-}
-
-bool
-CheckpointPolicy::allowForeignUserContainer(
-    const container::Container& c, workload::FunctionId f) const
-{
-    return _base->allowForeignUserContainer(c, f);
-}
-
-sim::Tick
-CheckpointPolicy::foreignUserStartupLatency(
-    const container::Container& c, workload::FunctionId f) const
-{
-    return _base->foreignUserStartupLatency(c, f);
-}
-
-std::vector<container::ContainerId>
-CheckpointPolicy::rankEvictionVictims(
-    const std::vector<const container::Container*>& idle)
-{
-    return _base->rankEvictionVictims(idle);
-}
-
-bool
-CheckpointPolicy::forkSharedLayers() const
-{
-    return _base->forkSharedLayers();
-}
-
-sim::Tick
-CheckpointPolicy::forkLatency() const
-{
-    return _base->forkLatency();
+    return base().name() + " + checkpoint";
 }
 
 double
@@ -98,19 +26,13 @@ CheckpointPolicy::partialStartLatencyFactor() const
     // Partial starts restore the missing layers from checkpoint
     // images instead of re-initializing them, so the restore speedup
     // applies to them as well as to full cold starts.
-    return _config.restoreFactor * _base->partialStartLatencyFactor();
-}
-
-sim::Tick
-CheckpointPolicy::partialStartLatencyBias() const
-{
-    return _base->partialStartLatencyBias();
+    return _config.restoreFactor * base().partialStartLatencyFactor();
 }
 
 double
 CheckpointPolicy::coldStartFactor() const
 {
-    return _config.restoreFactor * _base->coldStartFactor();
+    return _config.restoreFactor * base().coldStartFactor();
 }
 
 double
@@ -118,7 +40,7 @@ CheckpointPolicy::auxiliaryMemoryMb(
     const workload::FunctionProfile& p) const
 {
     return _config.imageMemoryFraction * p.memoryAtLayer(
-               workload::Layer::User) + _base->auxiliaryMemoryMb(p);
+               workload::Layer::User) + base().auxiliaryMemoryMb(p);
 }
 
 } // namespace rc::core

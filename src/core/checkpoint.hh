@@ -8,10 +8,10 @@
  * startup latency (-36% average in the paper) at the cost of caching
  * checkpoint images in memory (+15% memory waste).
  *
- * CheckpointPolicy is a transparent decorator over any base policy:
- * it forwards every decision to the wrapped policy and only overrides
- * the cold-start latency factor and the per-container auxiliary
- * (checkpoint image) memory.
+ * CheckpointPolicy is a transparent decorator over any base policy
+ * (policy::PolicyDecorator forwards every decision to it) that only
+ * scales cold and partial start latency by the restore factor and
+ * charges per-container auxiliary (checkpoint image) memory.
  */
 
 #ifndef RC_CORE_CHECKPOINT_HH_
@@ -19,7 +19,7 @@
 
 #include <memory>
 
-#include "policy/policy.hh"
+#include "policy/decorator.hh"
 
 namespace rc::core {
 
@@ -33,42 +33,19 @@ struct CheckpointConfig
 };
 
 /** Decorator adding checkpoint/restore to any policy. */
-class CheckpointPolicy : public policy::Policy
+class CheckpointPolicy : public policy::PolicyDecorator
 {
   public:
     CheckpointPolicy(std::unique_ptr<policy::Policy> base,
                      CheckpointConfig config = {});
 
     std::string name() const override;
-    void attach(policy::PlatformView& view) override;
-    void onArrival(workload::FunctionId function) override;
-    void
-    onStartupResolved(const policy::StartupObservation& obs) override;
-    sim::Tick keepAliveTtl(const container::Container& c) override;
-    policy::IdleDecision
-    onIdleExpired(const container::Container& c) override;
-    bool layerSharingEnabled() const override;
-    bool
-    allowForeignUserContainer(const container::Container& c,
-                              workload::FunctionId f) const override;
-    sim::Tick
-    foreignUserStartupLatency(const container::Container& c,
-                              workload::FunctionId f) const override;
-    std::vector<container::ContainerId>
-    rankEvictionVictims(
-        const std::vector<const container::Container*>& idle) override;
     double partialStartLatencyFactor() const override;
-    sim::Tick partialStartLatencyBias() const override;
-    bool forkSharedLayers() const override;
-    sim::Tick forkLatency() const override;
-
-    // The checkpoint-specific overrides:
     double coldStartFactor() const override;
     double
     auxiliaryMemoryMb(const workload::FunctionProfile& p) const override;
 
   private:
-    std::unique_ptr<policy::Policy> _base;
     CheckpointConfig _config;
 };
 

@@ -145,8 +145,7 @@ RainbowCakePolicy::keepAliveTtl(const container::Container& c)
     sim::Tick ttl = 0;
     if (!_config.sharingAwareModeling) {
         ttl = _config.fixedUserTtl;
-    } else if (c.everExecuted() && !_config.quantileBoundsUserLayer &&
-               pressureLevel() < 2) {
+    } else if (c.everExecuted() && pressureLevel() < 2) {
         // At ladder level >= 2 (rc::admission) this generous branch is
         // bypassed: the User window falls back to the quantile-bounded
         // min(IAT, beta) below, so containers peel to the cheaper

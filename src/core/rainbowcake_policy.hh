@@ -86,15 +86,6 @@ struct RainbowCakeConfig
     bool quantileBoundsSharedLayers = false;
 
     /**
-     * Whether the User-layer keep-alive window of a container that
-     * has executed is min(IAT(u,p), beta(u)) or the plain upper
-     * bound beta(u) (default; §7.1 sets the upper bounds as the
-     * keep-alive TTLs, with Eq. 7 applied at downgrade transitions).
-     * Speculative pre-warmed containers are always quantile-bounded.
-     */
-    bool quantileBoundsUserLayer = false;
-
-    /**
      * Cap on idle shared containers: at most this many idle Lang
      * containers per language and this many idle Bare containers are
      * kept; a container that would downgrade into a full pool is

@@ -6,10 +6,8 @@ namespace rc::core {
 
 TieredCachePolicy::TieredCachePolicy(std::unique_ptr<policy::Policy> base,
                                      TieredConfig config)
-    : _base(std::move(base)), _config(config)
+    : PolicyDecorator(std::move(base)), _config(config)
 {
-    if (!_base)
-        sim::fatal("TieredCachePolicy: base policy must not be null");
     if (config.nvmCostFactor <= 0.0 || config.nvmCostFactor > 1.0)
         sim::fatal("TieredCachePolicy: NVM cost factor outside (0,1]");
     if (config.nvmFetchLatency < 0)
@@ -19,103 +17,14 @@ TieredCachePolicy::TieredCachePolicy(std::unique_ptr<policy::Policy> base,
 std::string
 TieredCachePolicy::name() const
 {
-    return _base->name() + " + NVM tier";
-}
-
-void
-TieredCachePolicy::attach(policy::PlatformView& view)
-{
-    Policy::attach(view);
-    _base->attach(view);
-}
-
-void
-TieredCachePolicy::onArrival(workload::FunctionId function)
-{
-    _base->onArrival(function);
-}
-
-void
-TieredCachePolicy::onStartupResolved(const policy::StartupObservation& obs)
-{
-    _base->onStartupResolved(obs);
-}
-
-sim::Tick
-TieredCachePolicy::keepAliveTtl(const container::Container& c)
-{
-    return _base->keepAliveTtl(c);
-}
-
-policy::IdleDecision
-TieredCachePolicy::onIdleExpired(const container::Container& c)
-{
-    return _base->onIdleExpired(c);
-}
-
-bool
-TieredCachePolicy::layerSharingEnabled() const
-{
-    return _base->layerSharingEnabled();
-}
-
-bool
-TieredCachePolicy::allowForeignUserContainer(
-    const container::Container& c, workload::FunctionId f) const
-{
-    return _base->allowForeignUserContainer(c, f);
-}
-
-sim::Tick
-TieredCachePolicy::foreignUserStartupLatency(
-    const container::Container& c, workload::FunctionId f) const
-{
-    return _base->foreignUserStartupLatency(c, f);
-}
-
-std::vector<container::ContainerId>
-TieredCachePolicy::rankEvictionVictims(
-    const std::vector<const container::Container*>& idle)
-{
-    return _base->rankEvictionVictims(idle);
-}
-
-bool
-TieredCachePolicy::forkSharedLayers() const
-{
-    return _base->forkSharedLayers();
-}
-
-sim::Tick
-TieredCachePolicy::forkLatency() const
-{
-    return _base->forkLatency();
-}
-
-double
-TieredCachePolicy::partialStartLatencyFactor() const
-{
-    return _base->partialStartLatencyFactor();
+    return base().name() + " + NVM tier";
 }
 
 sim::Tick
 TieredCachePolicy::partialStartLatencyBias() const
 {
     // Restoring a parked Lang/Bare layer crosses the NVM tier.
-    return _config.nvmFetchLatency + _base->partialStartLatencyBias();
-}
-
-double
-TieredCachePolicy::coldStartFactor() const
-{
-    return _base->coldStartFactor();
-}
-
-double
-TieredCachePolicy::auxiliaryMemoryMb(
-    const workload::FunctionProfile& p) const
-{
-    return _base->auxiliaryMemoryMb(p);
+    return _config.nvmFetchLatency + base().partialStartLatencyBias();
 }
 
 double

@@ -13,10 +13,10 @@
  *   * NVM residency is cheaper, so Lang/Bare idle time is charged at
  *     a fraction of its DRAM cost.
  *
- * TieredCachePolicy is a decorator like CheckpointPolicy: it forwards
- * all decisions to the wrapped policy and only injects the NVM fetch
- * penalty; pricedWasteMbSeconds() reprices a run's waste log under
- * the tiered cost model.
+ * TieredCachePolicy is a policy::PolicyDecorator like
+ * CheckpointPolicy: every decision stays with the wrapped policy and
+ * it only injects the NVM fetch penalty; pricedWasteMbSeconds()
+ * reprices a run's waste log under the tiered cost model.
  */
 
 #ifndef RC_CORE_TIERED_HH_
@@ -24,7 +24,7 @@
 
 #include <memory>
 
-#include "policy/policy.hh"
+#include "policy/decorator.hh"
 #include "stats/interval_log.hh"
 
 namespace rc::core {
@@ -39,42 +39,18 @@ struct TieredConfig
 };
 
 /** Decorator adding NVM placement of shareable layers. */
-class TieredCachePolicy : public policy::Policy
+class TieredCachePolicy : public policy::PolicyDecorator
 {
   public:
     TieredCachePolicy(std::unique_ptr<policy::Policy> base,
                       TieredConfig config = {});
 
     std::string name() const override;
-    void attach(policy::PlatformView& view) override;
-    void onArrival(workload::FunctionId function) override;
-    void
-    onStartupResolved(const policy::StartupObservation& obs) override;
-    sim::Tick keepAliveTtl(const container::Container& c) override;
-    policy::IdleDecision
-    onIdleExpired(const container::Container& c) override;
-    bool layerSharingEnabled() const override;
-    bool
-    allowForeignUserContainer(const container::Container& c,
-                              workload::FunctionId f) const override;
-    sim::Tick
-    foreignUserStartupLatency(const container::Container& c,
-                              workload::FunctionId f) const override;
-    std::vector<container::ContainerId>
-    rankEvictionVictims(
-        const std::vector<const container::Container*>& idle) override;
-    double partialStartLatencyFactor() const override;
     sim::Tick partialStartLatencyBias() const override;
-    bool forkSharedLayers() const override;
-    sim::Tick forkLatency() const override;
-    double coldStartFactor() const override;
-    double
-    auxiliaryMemoryMb(const workload::FunctionProfile& p) const override;
 
     const TieredConfig& config() const { return _config; }
 
   private:
-    std::unique_ptr<policy::Policy> _base;
     TieredConfig _config;
 };
 

@@ -1,10 +1,9 @@
 #include "exp/parallel_runner.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdlib>
-#include <exception>
-#include <mutex>
-#include <thread>
+
+#include "sim/shard_executor.hh"
 
 namespace rc::exp {
 
@@ -21,53 +20,16 @@ ParallelRunner::defaultThreadCount()
         if (parsed > 0)
             return static_cast<std::size_t>(parsed);
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+    return sim::usableCpus();
 }
 
 void
 ParallelRunner::forEach(std::size_t count,
                         const std::function<void(std::size_t)>& fn) const
 {
-    if (count == 0)
-        return;
-
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr firstError;
-    std::mutex errorMutex;
-
-    const auto worker = [&] {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                return;
-            try {
-                fn(i);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(errorMutex);
-                if (!firstError)
-                    firstError = std::current_exception();
-            }
-        }
-    };
-
-    const std::size_t workers = std::min(_threads, count);
-    if (workers <= 1) {
-        // Single-threaded sweeps run inline: no pool overhead and the
-        // exact same job order as the pre-runner sequential loops.
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t t = 0; t < workers; ++t)
-            pool.emplace_back(worker);
-        for (auto& thread : pool)
-            thread.join();
-    }
-
-    if (firstError)
-        std::rethrow_exception(firstError);
+    // One round on a crew sized for this sweep. A single-threaded
+    // sweep spawns nothing and runs the jobs inline, in index order.
+    sim::ShardExecutor(std::min(_threads, count)).runRound(count, fn);
 }
 
 std::vector<RunResult>

@@ -7,10 +7,11 @@
  * immutable inputs (catalog, expanded arrivals). Runs are therefore
  * embarrassingly parallel, and because no state crosses run
  * boundaries the results are bit-identical whether a sweep executes
- * on one thread or many — only wall-clock changes. The runner is
- * deliberately work-stealing-free: workers pull the next job index
- * from a single atomic counter and write into a pre-sized results
- * vector, so output order is always submission order.
+ * on one thread or many — only wall-clock changes. A sweep is one
+ * round of a sim::ShardExecutor crew (the fleet's executor): crew
+ * members claim job indices from one shared counter and write into
+ * a pre-sized results vector, so output order is always submission
+ * order.
  */
 
 #ifndef RC_EXP_PARALLEL_RUNNER_HH_
@@ -56,7 +57,7 @@ class ParallelRunner
     /**
      * Run every spec and return the results in submission order.
      * Deterministic: identical output for any thread count. The first
-     * exception thrown by a job is rethrown after all workers join.
+     * exception thrown by a job is rethrown once every job finished.
      */
     std::vector<RunResult> run(const std::vector<RunSpec>& specs) const;
 
@@ -72,7 +73,8 @@ class ParallelRunner
     /**
      * Worker count used when none is requested: the `RC_THREADS`
      * environment variable if set and positive, else
-     * hardware_concurrency (at least 1).
+     * sim::usableCpus() (the affinity mask, so a `taskset` run does
+     * not oversubscribe its CPUs).
      */
     static std::size_t defaultThreadCount();
 

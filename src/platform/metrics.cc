@@ -1,5 +1,7 @@
 #include "platform/metrics.hh"
 
+#include "stats/percentile.hh"
+
 namespace rc::platform {
 
 void
@@ -9,7 +11,6 @@ Metrics::record(const InvocationRecord& record)
     ++_typeCounts[startupTypeIndex(record.type)];
     _totalStartupSeconds += sim::toSeconds(record.startupLatency);
     _totalEndToEndSeconds += sim::toSeconds(record.endToEnd);
-    _e2ePercentile.add(sim::toSeconds(record.endToEnd));
 }
 
 std::uint64_t
@@ -37,7 +38,11 @@ Metrics::meanEndToEndSeconds() const
 double
 Metrics::p99EndToEndSeconds() const
 {
-    return _e2ePercentile.p99();
+    std::vector<double> e2e;
+    e2e.reserve(_records.size());
+    for (const auto& record : _records)
+        e2e.push_back(sim::toSeconds(record.endToEnd));
+    return stats::quantileOf(std::move(e2e), 0.99);
 }
 
 stats::Accumulator

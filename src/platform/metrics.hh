@@ -18,7 +18,6 @@
 #include "platform/startup_type.hh"
 #include "sim/time.hh"
 #include "stats/accumulator.hh"
-#include "stats/percentile.hh"
 #include "stats/time_series.hh"
 #include "workload/types.hh"
 
@@ -43,13 +42,8 @@ class Metrics
     /** Record one completed invocation. */
     void record(const InvocationRecord& record);
 
-    /** Make room for @p invocations records and latency samples. */
-    void
-    reserve(std::size_t invocations)
-    {
-        _records.reserve(invocations);
-        _e2ePercentile.reserve(invocations);
-    }
+    /** Make room for @p invocations records. */
+    void reserve(std::size_t invocations) { _records.reserve(invocations); }
 
     /** All records in completion order. */
     const std::vector<InvocationRecord>& records() const { return _records; }
@@ -70,23 +64,11 @@ class Metrics
     double meanEndToEndSeconds() const;
 
     /**
-     * Exact P99 of end-to-end latency in seconds.
-     *
-     * Thread-safety: genuinely const. Earlier versions sorted a
-     * `mutable` sample store here, which made concurrent const reads
-     * of one Metrics (report writers walking RunResults produced by
-     * exp::ParallelRunner) a data race; the percentile store now
-     * never mutates on read. Call sortLatencyCache() from the owning
-     * thread first to make repeated reads O(1).
+     * Exact P99 of end-to-end latency in seconds, read from the
+     * records (sorted into a local copy, so concurrent const reads of
+     * one Metrics are safe).
      */
     double p99EndToEndSeconds() const;
-
-    /**
-     * Explicitly sort the latency sample store so subsequent
-     * percentile reads skip the per-call copy. Mutator: call it
-     * before sharing this Metrics across threads, never after.
-     */
-    void sortLatencyCache() { _e2ePercentile.sortSamples(); }
 
     /** Per-function startup latency accumulator (seconds). */
     stats::Accumulator startupByFunction(workload::FunctionId f) const;
@@ -108,7 +90,6 @@ class Metrics
     std::array<std::uint64_t, kStartupTypeCount> _typeCounts{};
     double _totalStartupSeconds = 0.0;
     double _totalEndToEndSeconds = 0.0;
-    stats::Percentile _e2ePercentile;
 };
 
 } // namespace rc::platform

@@ -176,9 +176,10 @@ class Policy
     /**
      * Install the observability sink (may be nullptr). The platform
      * calls this alongside attach(); policies emit PolicyDecision
-     * audit events through it when set.
+     * audit events through it when set. Virtual so a decorator
+     * (PolicyDecorator) can pass it on to the policy it wraps.
      */
-    void setObserver(obs::Observer* obs) { _obs = obs; }
+    virtual void setObserver(obs::Observer* obs) { _obs = obs; }
 
     /** An invocation for @p function arrived (before any lookup). */
     virtual void onArrival(workload::FunctionId function)
@@ -218,8 +219,9 @@ class Policy
      * read it to trade retention for headroom (RainbowCake caches
      * decayed L2/L1 layers instead of full-window L3 containers at
      * level >= 2). Always 0 when no controller is installed.
+     * Virtual for the same reason as setObserver().
      */
-    void setPressureLevel(int level) { _pressureLevel = level; }
+    virtual void setPressureLevel(int level) { _pressureLevel = level; }
     int pressureLevel() const { return _pressureLevel; }
 
     /**

@@ -1,6 +1,11 @@
 #include "sim/shard_executor.hh"
 
+#include <algorithm>
 #include <utility>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 namespace rc::sim {
 
@@ -91,8 +96,17 @@ ShardExecutor::runRound(std::size_t count, const RoundFn& fn)
         // Inline: at most one item, or a crew of one. Workers never
         // touch round state outside a claimed item, and the next
         // claim word publishes what fn wrote.
-        for (std::size_t i = 0; i < count; ++i)
-            fn(i);
+        std::exception_ptr error;
+        for (std::size_t i = 0; i < count; ++i) {
+            try {
+                fn(i);
+            } catch (...) {
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+        if (error)
+            std::rethrow_exception(error);
         return;
     }
     const std::uint32_t round =
@@ -138,6 +152,17 @@ ShardExecutor::workerLoop()
             return;
         drain(seen);
     }
+}
+
+std::size_t
+usableCpus()
+{
+#ifdef __linux__
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0)
+        return static_cast<std::size_t>(std::max(1, CPU_COUNT(&mask)));
+#endif
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 } // namespace rc::sim

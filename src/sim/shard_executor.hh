@@ -9,7 +9,8 @@
  * runRound(n, fn) invokes fn(i) for every i in [0, n) across the crew
  * and returns when all of them finished. The calling thread is a crew
  * member: it claims items alongside the workers, so a crew of T
- * spawns T - 1 threads.
+ * spawns T - 1 threads. exp::ParallelRunner runs each sweep as one
+ * round of a crew sized for it.
  *
  * The round handshake is two atomics, the round generation and the
  * count of unfinished items, plus a claim word. The caller stores the
@@ -127,6 +128,14 @@ class ShardExecutor
     /** Declared last: the workers use every member above. */
     std::vector<std::thread> _threads;
 };
+
+/**
+ * CPUs the calling thread may run on: its affinity mask where the OS
+ * has one (taskset and cpusets narrow it), else the hardware count;
+ * at least 1. Crews are sized against this: ShardedCluster clamps
+ * its crew to it, and exp::ParallelRunner defaults to it.
+ */
+std::size_t usableCpus();
 
 } // namespace rc::sim
 

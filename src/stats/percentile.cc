@@ -7,59 +7,21 @@
 
 namespace rc::stats {
 
-void
-Percentile::add(double x)
-{
-    // Keep insertion order until a quantile is requested; repeated
-    // adds stay O(1).
-    if (_sorted && !_samples.empty() && x < _samples.back())
-        _sorted = false;
-    _samples.push_back(x);
-}
-
-namespace {
-
-/** Interpolated rank-q read of an ascending-sorted sample vector. */
 double
-sortedQuantile(const std::vector<double>& sorted, double q)
+quantileOf(std::vector<double> samples, double q)
 {
-    const double rank = q * static_cast<double>(sorted.size() - 1);
+    if (q < 0.0 || q > 1.0)
+        throw std::invalid_argument("quantileOf: q outside [0,1]");
+    if (samples.empty())
+        return 0.0;
+    std::sort(samples.begin(), samples.end());
+    const double rank = q * static_cast<double>(samples.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
     const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
     if (lo == hi)
-        return sorted[lo];
+        return samples[lo];
     const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-} // namespace
-
-double
-Percentile::quantile(double q) const
-{
-    if (q < 0.0 || q > 1.0)
-        throw std::invalid_argument("Percentile::quantile: q outside [0,1]");
-    if (_samples.empty())
-        return 0.0;
-    if (_sorted)
-        return sortedQuantile(_samples, q);
-    // Unsorted: select into a local copy so const access never
-    // mutates shared state (see the thread-safety contract in the
-    // header). Quantiles are read a handful of times per run, so the
-    // copy is irrelevant next to the run itself; hot callers opt into
-    // the explicit sortSamples() cache instead.
-    std::vector<double> sorted(_samples);
-    std::sort(sorted.begin(), sorted.end());
-    return sortedQuantile(sorted, q);
-}
-
-void
-Percentile::sortSamples()
-{
-    if (_sorted)
-        return;
-    std::sort(_samples.begin(), _samples.end());
-    _sorted = true;
+    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
 double
@@ -70,13 +32,6 @@ Percentile::mean() const
     const double total =
         std::accumulate(_samples.begin(), _samples.end(), 0.0);
     return total / static_cast<double>(_samples.size());
-}
-
-void
-Percentile::reset()
-{
-    _samples.clear();
-    _sorted = true;
 }
 
 } // namespace rc::stats

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/time.hh"
 #include "workload/types.hh"
 
 namespace rc::trace {
@@ -46,10 +45,6 @@ class TraceSet
     void add(FunctionTrace trace);
 
     std::size_t durationMinutes() const { return _minutes; }
-    sim::Tick durationTicks() const
-    {
-        return static_cast<sim::Tick>(_minutes) * sim::kMinute;
-    }
 
     const std::vector<FunctionTrace>& traces() const { return _traces; }
     std::size_t functionCount() const { return _traces.size(); }

@@ -111,13 +111,21 @@ TEST(ParallelRunner, ForEachVisitsEveryIndexExactlyOnce)
 
 TEST(ParallelRunner, ForEachPropagatesJobExceptions)
 {
-    ParallelRunner runner(2);
-    EXPECT_THROW(runner.forEach(8,
-                                [](std::size_t i) {
-                                    if (i == 5)
-                                        throw std::runtime_error("job 5");
-                                }),
-                 std::runtime_error);
+    // The first exception surfaces once every other job has run, on
+    // one thread (inline) as on several.
+    for (const std::size_t threads : {1u, 2u}) {
+        std::atomic<int> ran{0};
+        EXPECT_THROW(ParallelRunner(threads).forEach(
+                         8,
+                         [&](std::size_t i) {
+                             if (i == 5)
+                                 throw std::runtime_error("job 5");
+                             ran.fetch_add(1);
+                         }),
+                     std::runtime_error)
+            << threads << " threads";
+        EXPECT_EQ(ran.load(), 7) << threads << " threads";
+    }
 }
 
 TEST(ParallelRunner, DefaultThreadCountIsPositive)

@@ -4,8 +4,9 @@
  *
  * Both inputs are BENCH_*.json files, either the shared flat schema
  * `[{bench, metric, value, unit, threads}, ...]` as written by
- * bench_micro_engine, bench_micro_pool, bench_scale_fleet, and
- * bench_recovery_storm, or the `rainbowcake-bench-overload-v1`
+ * bench/bench_record.hh for bench_micro_engine, bench_micro_pool,
+ * bench_recovery_storm, bench_scale_fleet and bench_tail_tolerance,
+ * or the `rainbowcake-bench-overload-v1`
  * object schema bench_overload writes ({schema, rows: [...]}); rows
  * are flattened into one record per (row, numeric field) so the two
  * shapes diff identically. The tool joins records on (bench, metric,

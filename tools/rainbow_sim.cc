@@ -110,7 +110,8 @@ usage(int code)
         "  --trace FILE      load an Azure-format CSV trace\n"
         "  --catalog FILE    load a custom function-catalog CSV\n"
         "  --threads N       worker threads for --all sweeps\n"
-        "                    (default: RC_THREADS or all cores)\n"
+        "                    (default: RC_THREADS or the CPUs in the\n"
+        "                    affinity mask)\n"
         "  --timelines       print waste/latency timelines\n"
         "  --csv-dir DIR     write per-policy CSV dumps into DIR\n"
         "  --per-function    print per-function latency averages\n"
